@@ -35,6 +35,7 @@ from .data import (
     GroupStructure,
     Partition,
     all_common_partition,
+    block_partition,
     canonical_partition,
     partition_refresh,
     split_class,
@@ -194,6 +195,7 @@ def _sboost_path(X, y, w, pf, nu, T):
     col_norm = (w[:, None] * X * X).sum(axis=0)
     ok = col_norm > 0
     beta = np.zeros(p)
+    nnz = 0                      # running count of nonzero coefficients
     r = y.astype(float).copy()
     steps = np.empty(T, dtype=np.int64)
     gammas = np.empty(T)
@@ -207,12 +209,14 @@ def _sboost_path(X, y, w, pf, nu, T):
         obj = dloss + pf * dnnz
         s = int(np.argmin(obj))
         g = float(gamma[s])
+        was_nonzero = beta[s] != 0
         beta[s] += nu * g
+        nnz += int(beta[s] != 0) - int(was_nonzero)
         r -= (nu * g) * X[:, s]
         steps[t] = s
         gammas[t] = g
         losses[t] = 0.5 * float(w @ (r * r))
-        trace[t] = losses[t] + pf * np.count_nonzero(beta)
+        trace[t] = losses[t] + pf * nnz
     return steps, gammas, trace, losses
 
 
@@ -341,9 +345,16 @@ class _SubsetTasks:
     penalty by pen_scale times the number of newly differing pairs.  With M
     datasets there are at most 2^M - 1 distinct subsets, ordered largest
     first then lexicographic (the tie-break order).
+
+    Within-class invariant: datasets of one equality class hold identical
+    coefficient blocks, so wherever A is a candidate for s, beta[s, m] is
+    the same for every m in A.  The sparsity change of a candidate is then
+    that of A's first member (``first``) times A's summed penalty factors
+    (``pf_sum``); no (subset, covariate, dataset) array is needed.  Rebuilt
+    only when a class splits.
     """
 
-    def __init__(self, parts, M, assignment, col_norms, mode, pen_scale):
+    def __init__(self, parts, M, assignment, col_norms, pf, mode, pen_scale):
         K = len(parts)
         classes = sorted({c for pt in parts for c in pt}, key=lambda c: (-len(c), c))
         self.subsets = sorted(
@@ -363,15 +374,36 @@ class _SubsetTasks:
                     valid[i, k] = True
                     if len(A) < len(cls):
                         dsplit[i, k] = pen_scale * _split_delta(cls, A, mode)
-        self.indb = self.ind.astype(bool)
+        self.first = np.array([A[0] for A in self.subsets])
+        self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
         self.okA = self.denA > 0
-        self.valid_sp = valid[:, assignment]        # (S, p)
+        self.invalid_sp = ~valid[:, assignment]     # (S, p)
         self.dsplit_sp = dsplit[:, assignment]
+
+
+def _sparsity_change(tasks: _SubsetTasks, coef: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Sparsity-term change of every tentative update, shape (S, p).
+
+    ``coef`` is the (M, p) coefficient matrix and ``gamma`` the (S, p)
+    unscaled increments.  Exact wherever the subset is a candidate for the
+    covariate (see ``_SubsetTasks``); other entries are masked by the caller.
+    """
+    b0 = coef[tasks.first]                          # (S, p)
+    dnnz = ((b0 + gamma) != 0).astype(float) - (b0 != 0)
+    dnnz *= tasks.pf_sum[:, None]
+    return dnnz
 
 
 def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
              spec: PenaltySpec, initial_partitions, verify_partitions):
+    """Greedy commonality/difference path over all T iterations.
+
+    Returns the (s, A, gamma) record of every iteration plus the stopping
+    objective and the summed loss per iteration.  Each candidate subset lies
+    inside one equality class of its covariate's group, which is what makes
+    the per-subset sparsity term of ``_SubsetTasks`` exact.
+    """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T = config.nu, config.T
     assignment = groups.assignment
@@ -381,14 +413,15 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
 
     parts: list[Partition] = list(initial_partitions)
     unequal = sum(_unequal_pairs(pt, M, spec.mode) for pt in parts)
-    beta = np.zeros((p, M))
+    coef = np.zeros((M, p))          # beta transposed: one row per dataset
+    nnz = [0] * M                    # running nonzero count per dataset
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
 
     records: list[tuple[int, tuple[int, ...], float]] = []
     trace = np.empty(T)
     losses = np.empty(T)
-    tasks = _SubsetTasks(parts, M, assignment, col_norms, spec.mode, pen_scale)
+    tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode, pen_scale)
     group_idx = [groups.indices(k) for k in range(K)] if verify_partitions else None
 
     for t in range(T):
@@ -396,13 +429,10 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         gamma = np.divide(numA, tasks.denA, out=np.zeros_like(numA),
                           where=tasks.okA)
         dobj = -gamma * numA + 0.5 * gamma * gamma * tasks.denA
-        # sparsity change of the tentative full-size update, per dataset
-        tentative = beta[None, :, :] + gamma[:, :, None] * tasks.indb[:, None, :]
-        dnnz = (tentative != 0).astype(float) - (beta != 0)
-        dobj += dnnz @ pf
+        dobj += _sparsity_change(tasks, coef, gamma)
         if pen_scale > 0.0:
-            dobj += np.where(gamma != 0, tasks.dsplit_sp, 0.0)
-        dobj = np.where(tasks.valid_sp, dobj, np.inf)
+            np.add(dobj, tasks.dsplit_sp, out=dobj, where=gamma != 0)
+        dobj[tasks.invalid_sp] = np.inf
 
         js = np.argmin(dobj, axis=1)   # per subset: first minimum, smallest s
         best_key = None
@@ -419,16 +449,18 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         if g_hat != 0.0 and len(A_hat) < len(cls):
             unequal += _split_delta(cls, A_hat, spec.mode)
             parts[k_hat] = split_class(parts[k_hat], A_hat)
-            tasks = _SubsetTasks(parts, M, assignment, col_norms, spec.mode, pen_scale)
+            tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode, pen_scale)
         step = nu * g_hat
         for m in A_hat:
-            beta[s_hat, m] += step
+            was_nonzero = coef[m, s_hat] != 0
+            coef[m, s_hat] += step
+            nnz[m] += int(coef[m, s_hat] != 0) - int(was_nonzero)
             resid[m] -= step * ctx.X[m][:, s_hat]
             numer[m] = ctx.X[m].T @ (ctx.weights[m] * resid[m])
         records.append((s_hat, A_hat, g_hat))
 
         loss = sum(0.5 * float(ctx.weights[m] @ (resid[m] * resid[m])) for m in range(M))
-        sparsity = sum(pf[m] * np.count_nonzero(beta[:, m]) for m in range(M))
+        sparsity = sum(pf[m] * nnz[m] for m in range(M))
         pen = spec.lam * unequal / spec.normalizer if spec.normalizer > 0 else 0.0
         losses[t] = loss
         trace[t] = loss + sparsity + pen
@@ -436,16 +468,7 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         if verify_partitions:
             # only group k_hat changed this iteration; untouched groups agree
             # by induction, and the full state is re-checked after the loop
-            block = beta[group_idx[k_hat], :]
-            classes: list[list[int]] = []
-            for m in range(M):
-                for c in classes:
-                    if np.array_equal(block[:, c[0]], block[:, m]):
-                        c.append(m)
-                        break
-                else:
-                    classes.append([m])
-            if canonical_partition(classes) != parts[k_hat]:
+            if block_partition(coef[:, group_idx[k_hat]].T) != parts[k_hat]:
                 raise AssertionError(
                     f"iteration {t + 1}: tracked partition of group {k_hat} "
                     f"diverged from element-wise comparison"
@@ -453,7 +476,7 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
 
     if verify_partitions and T > 0:
         refreshed = partition_refresh(
-            CoefficientState(beta=beta, partitions=parts, iteration=T), groups
+            CoefficientState(beta=coef.T, partitions=parts, iteration=T), groups
         )
         if refreshed.partitions != parts:
             raise AssertionError(

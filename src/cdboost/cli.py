@@ -122,14 +122,17 @@ def _merge_config(args: argparse.Namespace, argv: list[str]):
         if not hasattr(args, key):
             raise ValidationError(f"{args.config}: unknown config key {key!r}")
         current = getattr(args, key)
-        if isinstance(current, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            value = int(raw)
-        elif isinstance(current, float):
-            value = float(raw)
-        else:
-            value = raw
+        try:
+            if isinstance(current, bool):
+                value = raw.lower() in ("1", "true", "yes", "on")
+            elif isinstance(current, int) and not isinstance(current, bool):
+                value = int(raw)
+            elif isinstance(current, float):
+                value = float(raw)
+            else:
+                value = raw
+        except ValueError:
+            raise ParseError(f"{args.config}: bad value {raw!r} for {key!r}") from None
         setattr(args, key, value)
 
 
@@ -142,6 +145,13 @@ def _parse_rho(text: str) -> tuple[float, float, float]:
     except ValueError:
         raise ValidationError(f"non-numeric --rho value in {text!r}") from None
     return rho
+
+
+def _parse_lambda(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"--lambda wants a number or 'auto', got {text!r}") from None
 
 
 def _parse_lambda_grid(text: str) -> LambdaGrid:
@@ -193,7 +203,7 @@ def cmd_fit(args, argv) -> int:
         raise ValidationError("sboost takes a single dataset; use sep-sboost")
 
     auto = args.lam == "auto"
-    lam = 0.0 if auto else float(args.lam)
+    lam = 0.0 if auto else _parse_lambda(args.lam)
     config = BoostConfig(nu=args.nu, T=args.iters, lam=lam, algorithm=method,
                          model=model, penalty_mode=args.penalty_mode)
     if auto and method == "cd_sboost":
@@ -253,7 +263,7 @@ def cmd_benchmark(args, argv) -> int:
         canonical_method(m)
     auto = args.lam == "auto"
     config = BoostConfig(nu=args.nu, T=args.iters,
-                         lam=0.0 if auto else float(args.lam),
+                         lam=0.0 if auto else _parse_lambda(args.lam),
                          algorithm="cd_sboost", model=design.model,
                          penalty_mode=args.penalty_mode)
     report = benchmark(design, methods, args.replicates, config=config,
@@ -278,7 +288,7 @@ def cmd_stability(args, argv) -> int:
         raise ValidationError("no methods given")
     auto = args.lam == "auto"
     config = BoostConfig(nu=args.nu, T=args.iters,
-                         lam=0.0 if auto else float(args.lam),
+                         lam=0.0 if auto else _parse_lambda(args.lam),
                          algorithm="cd_sboost", model=model,
                          penalty_mode=args.penalty_mode)
     results = stability(bundles, groups, config, methods,

@@ -11,7 +11,8 @@ Equality classes are maintained structurally during fitting: datasets that
 receive identical joint increments keep exactly equal coefficient blocks, so
 no floating-point comparison is ever needed on the hot path.
 ``partition_refresh`` recomputes the classes from element-wise comparison and
-is used in tests to cross-check the incremental bookkeeping.
+is used in tests to cross-check the incremental bookkeeping.  Every exact
+block comparison in the package goes through ``equal_columns``.
 """
 
 import csv
@@ -156,8 +157,8 @@ class BoostConfig:
         if int(self.T) < 1:
             raise ValidationError(f"iteration cap T must be >= 1, got {self.T}")
         object.__setattr__(self, "T", int(self.T))
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
         if self.model not in MODELS:
@@ -316,24 +317,42 @@ def validate(bundles, groups: GroupStructure, model: str = "lr") -> Problem:
     return Problem(bundles=bundles, groups=groups, model=model)
 
 
+def equal_columns(block: np.ndarray) -> np.ndarray:
+    """Exact element-wise equality of the columns of a (rows, M) block.
+
+    Entry (a, b) of the (M, M) result is True when columns a and b agree in
+    every row; with no rows all columns are equal.
+    """
+    return (block[:, :, None] == block[:, None, :]).all(axis=0)
+
+
+def block_partition(block: np.ndarray) -> Partition:
+    """Equality classes of the columns of a (rows, M) block, canonical.
+
+    Each column joins the class of the first column equal to it; a column
+    holding NaN equals no column, itself included, and stays alone.
+    """
+    classes: dict[int, list[int]] = {}
+    for m, row in enumerate(equal_columns(block).tolist()):
+        classes.setdefault(row.index(True) if row[m] else m, []).append(m)
+    return tuple(tuple(c) for c in classes.values())
+
+
+def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tuple[bool, ...], ...]:
+    """Per group, exact block equality of each adjacent dataset pair (m, m+1)."""
+    out = []
+    for k in range(groups.K):
+        eq = equal_columns(beta[groups.indices(k)])
+        out.append(tuple(bool(eq[m, m + 1]) for m in range(beta.shape[1] - 1)))
+    return tuple(out)
+
+
 def partition_refresh(state: CoefficientState, groups: GroupStructure) -> CoefficientState:
     """Recompute equality classes by exact element-wise block comparison.
 
     Test-side cross-check for the incrementally maintained partitions.
     """
-    p, M = state.beta.shape
-    parts: list[Partition] = []
-    for k in range(groups.K):
-        block = state.beta[groups.indices(k), :]
-        classes: list[list[int]] = []
-        for m in range(M):
-            for c in classes:
-                if np.array_equal(block[:, c[0]], block[:, m]):
-                    c.append(m)
-                    break
-            else:
-                classes.append([m])
-        parts.append(canonical_partition(classes))
+    parts = [block_partition(state.beta[groups.indices(k), :]) for k in range(groups.K)]
     return CoefficientState(beta=state.beta, partitions=parts, iteration=state.iteration)
 
 
@@ -375,7 +394,16 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
-            rows.append([_parse_float(c, f"{path}:{i}") for c in row])
+            try:
+                values = list(map(float, row))
+            except ValueError:
+                values = None
+            # any non-finite cell makes the row sum non-finite; the cell-by-
+            # cell pass then reports the first bad cell (a sum that merely
+            # overflows passes it unchanged)
+            if values is None or not math.isfinite(sum(values)):
+                values = [_parse_float(c, f"{path}:{i}") for c in row]
+            rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     data = np.asarray(rows)

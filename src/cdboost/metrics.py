@@ -23,6 +23,7 @@ from .data import (
     GroupStructure,
     NumericError,
     ValidationError,
+    adjacent_equal_pairs,
 )
 from .boosting import fit as run_fit
 from .simulate import (
@@ -54,22 +55,12 @@ def canonical_method(name: str) -> str:
         raise ValidationError(f"unknown method {name!r}") from None
 
 
-def _block_pairs_equal(beta: np.ndarray, groups: GroupStructure):
-    """Per (group, adjacent pair): exact element-wise block equality."""
-    M = beta.shape[1]
-    for k in range(groups.K):
-        block = beta[groups.indices(k)]
-        yield k, tuple(
-            bool(np.array_equal(block[:, m], block[:, m + 1])) for m in range(M - 1)
-        )
-
-
 def group_tp_fp(fit: FitResult, truth: GroundTruth, groups: GroupStructure) -> tuple[int, int]:
     """Adjacent-pair commonality positives split into true and false."""
     if fit.beta_hat.shape != truth.beta.shape:
         raise ValidationError("fit and truth dimensions differ")
     tp = fp = 0
-    for k, est in _block_pairs_equal(fit.beta_hat, groups):
+    for k, est in enumerate(adjacent_equal_pairs(fit.beta_hat, groups)):
         for i, equal in enumerate(est):
             if equal:
                 if truth.equal_pairs[k][i]:
@@ -322,7 +313,10 @@ def benchmark(
         raise ValidationError("config model differs from design model")
     jobs = [(design, methods, r, config, tune, verify) for r in range(replicates)]
     report = MetricReport(design=design, methods=methods, replicates=replicates)
+    # both stored by replicate index, so the report is independent of the
+    # order in which parallel replicates finish
     results: list[list[ReplicateMetrics] | None] = [None] * replicates
+    failures: list[str | None] = [None] * replicates
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_benchmark_replicate, job): r
@@ -332,16 +326,17 @@ def benchmark(
                 try:
                     results[r] = fut.result()
                 except Exception as exc:  # recorded, not fatal
-                    report.failures.append(f"replicate {r}: {exc}")
+                    failures[r] = f"replicate {r}: {exc}"
     else:
         for r, job in enumerate(jobs):
             try:
                 results[r] = _benchmark_replicate(job)
             except Exception as exc:
-                report.failures.append(f"replicate {r}: {exc}")
+                failures[r] = f"replicate {r}: {exc}"
     for rows in results:
         if rows:
             report.rows.extend(rows)
+    report.failures.extend(f for f in failures if f is not None)
     return report
 
 

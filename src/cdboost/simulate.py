@@ -35,6 +35,7 @@ from .data import (
     GroupStructure,
     NumericError,
     ValidationError,
+    adjacent_equal_pairs,
     standardize_columns,
     write_dataset_csv,
     write_groups_tsv,
@@ -165,15 +166,6 @@ class GroundTruth:
         return sum(sum(pairs) for pairs in self.equal_pairs)
 
 
-def _block_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tuple[bool, ...], ...]:
-    M = beta.shape[1]
-    out = []
-    for k in range(groups.K):
-        block = beta[groups.indices(k)]
-        out.append(tuple(bool(np.array_equal(block[:, m], block[:, m + 1])) for m in range(M - 1)))
-    return tuple(out)
-
-
 def _scenario_assignment(design: SimDesign, rng) -> tuple[str, ...]:
     n_f, n_p, n_n = scenario_counts(design.K, design.rho_f, design.rho_p, design.rho_n)
     order = rng.permutation(design.K)
@@ -241,7 +233,7 @@ def gen_truth(design: SimDesign, replicate: int = 0,
     return GroundTruth(
         beta=beta,
         scenarios=scenarios,
-        equal_pairs=_block_equal_pairs(beta, design.groups()),
+        equal_pairs=adjacent_equal_pairs(beta, design.groups()),
         important=important,
     )
 

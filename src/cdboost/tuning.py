@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BoostConfig, FitResult, GroupStructure, NumericError
+from .data import BoostConfig, FitResult, GroupStructure, NumericError, ValidationError
 from .losses import build_context
 
 RSS_FLOOR = 1e-12
@@ -68,11 +68,11 @@ class LambdaGrid:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         if not vals:
-            raise ValueError("empty lambda grid")
-        if any(v < 0 for v in vals):
-            raise ValueError("lambda values must be >= 0")
+            raise ValidationError("empty lambda grid")
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
+            raise ValidationError(f"lambda values must be finite and >= 0, got {vals}")
         if list(vals) != sorted(vals):
-            raise ValueError("lambda grid must be ascending")
+            raise ValidationError("lambda grid must be ascending")
         self.values = vals
 
 

@@ -368,13 +368,14 @@ def test_criterion_6_metric_oracles():
                        within_corr=0.4, seed=1)
     sigma_fn = design_sigma_fn(design)
     groups = design.groups()
-    from cdboost.simulate import GroundTruth, _block_equal_pairs
+    from cdboost.data import adjacent_equal_pairs
+    from cdboost.simulate import GroundTruth
 
     for _ in range(50):
         bhat = rng.standard_normal((design.p, 3)) * 0.5
         btrue = rng.standard_normal((design.p, 3)) * 0.5
         truth = GroundTruth(beta=btrue, scenarios=("full", "full"),
-                            equal_pairs=_block_equal_pairs(btrue, groups),
+                            equal_pairs=adjacent_equal_pairs(btrue, groups),
                             important=((), (), ()))
         fit = SimpleNamespace(beta_hat=bhat)
         want = math.sqrt(sum(

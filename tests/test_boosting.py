@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdboost.boosting import (
     Candidate,
     PenaltySpec,
+    _cd_path,
+    _SubsetTasks,
+    _sparsity_change,
     candidate_set,
     cd_objective,
     cd_sboost_fit,
@@ -19,12 +23,15 @@ from cdboost.data import (
     CoefficientState,
     DatasetBundle,
     GroupStructure,
+    all_common_partition,
+    canonical_partition,
     partition_refresh,
     standardize_columns,
 )
 from cdboost.losses import build_context
 
 from conftest import make_lr_bundles, make_aft_bundles, tiny_groups
+from oracles import brute_cd_path
 
 
 def strong_signal_bundle(rng, n=60, p=8, support=(1, 4)):
@@ -283,3 +290,73 @@ def test_fit_dispatch(lr_problem):
         cfg = BoostConfig(T=30, model="lr", algorithm=algorithm)
         res = fit(bundles, groups, cfg)
         assert res.beta_hat.shape == (6, 3)
+
+
+# the per-subset sparsity term -------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(M=st.integers(2, 6), mode=st.sampled_from(["all_pairs", "ordered"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparsity_change_matches_full_tensor(M, mode, seed):
+    """The (S, p) sparsity change equals the literal (S, p, M) formula
+    bit for bit wherever the subset is a candidate for the covariate."""
+    rng = np.random.default_rng(seed)
+    p, K = 7, 3
+    assignment = np.repeat(np.arange(K), [3, 2, 2])
+    # unequal sample sizes, so unequal penalty factors
+    n = rng.integers(10, 200, size=M)
+    pf = np.log(n) / n
+    parts = [canonical_partition(
+        [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)])
+        for labels in rng.integers(0, M, size=(K, M))]
+    # coefficients respect the partitions: one shared block per class
+    values = np.array([0.0, 0.0, 0.5, -1.25, 2.0])
+    beta = np.zeros((p, M))
+    for k, part in enumerate(parts):
+        rows = np.flatnonzero(assignment == k)
+        for cls in part:
+            beta[np.ix_(rows, cls)] = rng.choice(values, size=(rows.size, 1))
+    col_norms = rng.uniform(0.5, 2.0, size=(M, p))
+    tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, mode, 0.1)
+    # increments that sometimes zero a coefficient or leave it unchanged
+    gamma = rng.choice(np.concatenate([-values, values]), size=(len(tasks.subsets), p))
+
+    got = _sparsity_change(tasks, beta.T.copy(), gamma)
+    tentative = beta[None, :, :] + gamma[:, :, None] * tasks.ind.astype(bool)[:, None, :]
+    literal = ((tentative != 0).astype(float) - (beta != 0)) @ pf
+    valid = ~tasks.invalid_sp
+    assert valid.any()
+    assert np.array_equal(got[valid], literal[valid])
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_cd_path_matches_brute_force_unequal_n(M):
+    """Selections equal the literal oracle's; increments and trace agree
+    to rounding. Unequal n gives unequal weights and penalty factors."""
+    for lam, mode in ((0.0, "all_pairs"), (0.6, "all_pairs"), (0.6, "ordered")):
+        rng = np.random.default_rng(100 + 10 * M + int(10 * lam) + (mode == "ordered"))
+        bundles = []
+        beta = np.zeros(5)
+        beta[[0, 3]] = [1.0, -0.8]
+        for m in range(M):
+            n = 20 + 7 * m
+            X = standardize_columns(rng.standard_normal((n, 5)))
+            shift = 0.9 * (-1) ** m * X[:, 1]     # dataset-specific signal
+            bundles.append(DatasetBundle(X=X, y=X @ beta + shift + rng.standard_normal(n),
+                                         delta=None, id=m))
+        groups = tiny_groups(5, 2)
+        config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
+        ctx = build_context(bundles, "lr")
+        spec = PenaltySpec(lam=lam, M=M, K=2, mode=mode)
+        records, trace, _ = _cd_path(ctx, groups, config, spec,
+                                     [all_common_partition(M)] * 2, True)
+        b_records, b_trace, _, _ = brute_cd_path(
+            [b.X for b in bundles], [b.y for b in bundles],
+            [np.full(b.n, 1.0 / b.n) for b in bundles],
+            groups.assignment, config.nu, config.T, lam, mode=mode,
+        )
+        assert [(s, A) for s, A, _ in records] == [(s, A) for s, A, _ in b_records]
+        for (_, _, g1), (_, _, g2) in zip(records, b_records):
+            assert abs(g1 - g2) < 1e-10
+        assert np.allclose(trace, b_trace, rtol=0.0, atol=1e-10)

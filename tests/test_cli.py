@@ -201,6 +201,40 @@ def test_malformed_config_exit_2(tmp_path, rng):
                  "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_non_finite_lambda_exit_3(tmp_path, capsys, rng, value):
+    paths, groups = _write_problem(tmp_path, rng)
+    assert main(["fit", "--data", *paths, "--groups", groups, "--iters", "20",
+                 f"--lambda={value}"]) == 3
+    assert "lambda must be finite" in capsys.readouterr().err
+
+
+def test_fit_non_numeric_lambda_exit_2(tmp_path, capsys, rng):
+    paths, groups = _write_problem(tmp_path, rng)
+    assert main(["fit", "--data", *paths, "--groups", groups,
+                 "--lambda", "abc"]) == 2
+    assert "'abc'" in capsys.readouterr().err
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("lambda = abc\n")
+    assert main(["fit", "--data", *paths, "--groups", groups,
+                 "--config", str(cfg)]) == 2
+
+
+def test_non_numeric_config_value_exit_2(tmp_path, capsys, rng):
+    paths, groups = _write_problem(tmp_path, rng)
+    cfg = tmp_path / "iters.cfg"
+    cfg.write_text("iters = abc\n")
+    assert main(["fit", "--data", *paths, "--groups", groups,
+                 "--config", str(cfg)]) == 2
+    assert "'iters'" in capsys.readouterr().err
+
+
+def test_non_finite_grid_value_exit_3(tmp_path, capsys, rng):
+    paths, groups = _write_problem(tmp_path, rng)
+    assert main(["fit", "--data", *paths, "--groups", groups, "--iters", "20",
+                 "--grid", "0,nan"]) == 3
+
+
 def test_missing_file_exit_3(tmp_path, rng):
     paths, groups = _write_problem(tmp_path, rng)
     assert main(["fit", "--data", str(tmp_path / "nope.csv"),

@@ -9,9 +9,12 @@ from cdboost.data import (
     GroupStructure,
     ParseError,
     ValidationError,
+    adjacent_equal_pairs,
     all_common_partition,
+    block_partition,
     canonical_partition,
     CoefficientState,
+    equal_columns,
     load_dataset_csv,
     partition_refresh,
     read_dataset_csv,
@@ -133,6 +136,30 @@ def test_partition_refresh_detects_blocks():
     assert refreshed.partitions[1] == ((0,), (1,), (2,))
 
 
+def test_block_partition_exact_comparison():
+    block = np.array([[0.0, -0.0, 1.0, 1.0, np.nan],
+                      [2.0, 2.0, 2.0, 2.0 + 1e-15, 2.0]])
+    eq = equal_columns(block)
+    assert eq.tolist() == [
+        [True, True, False, False, False],
+        [True, True, False, False, False],
+        [False, False, True, False, False],
+        [False, False, False, True, False],
+        [False, False, False, False, False],
+    ]
+    # -0.0 equals 0.0; a NaN column equals nothing and stays alone
+    assert block_partition(block) == ((0, 1), (2,), (3,), (4,))
+    assert block_partition(np.empty((0, 3))) == ((0, 1, 2),)
+
+
+def test_adjacent_equal_pairs():
+    groups = tiny_groups(4, 2)
+    beta = np.zeros((4, 3))
+    beta[0, :] = [1.0, 1.0, 0.5]
+    beta[2, :] = [0.3, 0.2, 0.3]
+    assert adjacent_equal_pairs(beta, groups) == ((True, False), (False, False))
+
+
 def test_fit_result_selected_and_verdicts():
     groups = tiny_groups(4, 2)
     beta = np.zeros((4, 3))
@@ -154,6 +181,9 @@ def test_boost_config_validation():
         BoostConfig(T=0)
     with pytest.raises(ValidationError):
         BoostConfig(lam=-1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError):
+            BoostConfig(lam=bad)
     with pytest.raises(ValidationError):
         BoostConfig(algorithm="gradient_descent")
 
@@ -197,6 +227,32 @@ def test_csv_rejects_non_numeric(tmp_path):
     path.write_text("y,a\n1.0,oops\n")
     with pytest.raises(ParseError):
         read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1.0,oops,2.0\n", "{path}:2: non-numeric cell 'oops'"),
+    ("1.0,2.0,3.0\n1.0,nan,2.0\n", "{path}:3: non-finite cell 'nan'"),
+    ("1.0,2.0,inf\n", "{path}:2: non-finite cell 'inf'"),
+    ("1.0,-inf,oops\n", "{path}:2: non-finite cell '-inf'"),
+    ("1.0,oops,nan\n", "{path}:2: non-numeric cell 'oops'"),
+    ("1.0,2.0,Infinity\n1.0,abc,2.0\n", "{path}:2: non-finite cell 'Infinity'"),
+    ("1.0,,2.0\n", "{path}:2: non-numeric cell ''"),
+])
+def test_csv_error_names_first_bad_cell(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,a,b\n" + rows)
+    with pytest.raises(ParseError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_csv_huge_finite_values_are_kept(tmp_path):
+    # the row sum overflows although every cell is finite
+    path = tmp_path / "big.csv"
+    path.write_text("y,a,b\n1e308,1e308,1e308\n-1e308,1e308,1.5\n")
+    X, y, _, _ = read_dataset_csv(path)
+    assert X.tolist() == [[1e308, 1e308], [1e308, 1.5]]
+    assert y.tolist() == [1e308, -1e308]
 
 
 def test_load_dataset_standardizes(tmp_path, rng):

@@ -1,6 +1,7 @@
 """Scoring functions, the benchmark harness, and split stability."""
 
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ from cdboost.data import (
     ValidationError,
     all_common_partition,
 )
+from cdboost import metrics
 from cdboost.metrics import (
     benchmark,
     canonical_method,
@@ -42,13 +44,13 @@ from oracles import (
 
 
 def _truth(beta, groups):
-    from cdboost.simulate import _block_equal_pairs
+    from cdboost.data import adjacent_equal_pairs
 
     beta = np.asarray(beta, dtype=float)
     return GroundTruth(
         beta=beta,
         scenarios=("full",) * groups.K,
-        equal_pairs=_block_equal_pairs(beta, groups),
+        equal_pairs=adjacent_equal_pairs(beta, groups),
         important=tuple(tuple(np.flatnonzero(beta[:, m])) for m in range(beta.shape[1])),
     )
 
@@ -335,6 +337,33 @@ def test_benchmark_deterministic_and_parallel_equal():
     c = benchmark(design, ("cd", "pool"), 2, config=config, tune=False,
                   workers=2).to_json()
     assert a == b == c
+
+
+_real_replicate = metrics._benchmark_replicate
+
+
+def _flaky_replicate(args):
+    """Replicates 0 and 1 fail, replicate 0 only after replicate 1 has."""
+    replicate = args[2]
+    if replicate == 0:
+        time.sleep(0.5)
+    if replicate < 2:
+        raise RuntimeError(f"synthetic failure {replicate}")
+    return _real_replicate(args)
+
+
+def test_benchmark_failures_in_replicate_order(monkeypatch):
+    monkeypatch.setattr(metrics, "_benchmark_replicate", _flaky_replicate)
+    design = _small_bench_design()
+    config = BoostConfig(T=30, lam=0.3, algorithm="cd_sboost", model="lr")
+    serial = benchmark(design, ("cd", "pool"), 3, config=config, tune=False)
+    parallel = benchmark(design, ("cd", "pool"), 3, config=config, tune=False,
+                         workers=2)
+    assert serial.failures == ["replicate 0: synthetic failure 0",
+                               "replicate 1: synthetic failure 1"]
+    assert [row.replicate for row in serial.rows] == [2, 2]
+    assert json.dumps(parallel.to_json(), sort_keys=True) == \
+        json.dumps(serial.to_json(), sort_keys=True)
 
 
 def test_benchmark_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cdboost.data import BoostConfig, DatasetBundle, GroupStructure
+from cdboost.data import BoostConfig, DatasetBundle, GroupStructure, ValidationError
 from cdboost.boosting import cd_sboost_fit, fit as run_fit
 from cdboost.metrics import group_tp_fp
 from cdboost.simulate import SimDesign, simulate_replicate
@@ -105,6 +105,9 @@ def test_grid_validation():
         LambdaGrid(values=(0.0, -1.0))
     with pytest.raises(ValueError):
         LambdaGrid(values=(1.0, 0.5))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            LambdaGrid(values=(0.0, bad))
 
 
 # ---------------------------------------------------------------------------
