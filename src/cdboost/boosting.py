@@ -399,8 +399,9 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
              spec: PenaltySpec, initial_partitions, verify_partitions):
     """Greedy commonality/difference path over all T iterations.
 
-    Returns the (s, A, gamma) record of every iteration plus the stopping
-    objective and the summed loss per iteration.  Each candidate subset lies
+    Returns the (s, A, gamma) record of every iteration, the stopping
+    objective and the summed loss per iteration, and the per-group
+    partitions after iteration T.  Each candidate subset lies
     inside one equality class of its covariate's group, which is what makes
     the per-subset sparsity term of ``_SubsetTasks`` exact.
     """
@@ -483,7 +484,7 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 "final state: tracked partitions diverged from element-wise "
                 "comparison"
             )
-    return records, trace, losses
+    return records, trace, losses, parts
 
 
 def _replay_cd(records, groups: GroupStructure, nu, p, M, initial_partitions, t_stop):
@@ -531,11 +532,12 @@ def cd_sboost_fit(
         initial_partitions = [all_common_partition(M)] * groups.K
     else:
         initial_partitions = [canonical_partition(pt) for pt in initial_partitions]
-    records, trace, losses = _cd_path(ctx, groups, config, spec, initial_partitions, verify_partitions)
+    records, trace, losses, final = _cd_path(ctx, groups, config, spec, initial_partitions,
+                                             verify_partitions)
     t_hat = _first_argmin(trace)
     beta, parts = _replay_cd(records, groups, config.nu, ctx.p, M, initial_partitions, t_hat)
     return FitResult(beta_hat=beta, t_hat=t_hat, partitions=parts, objective_trace=trace,
-                     loss_trace=losses)
+                     loss_trace=losses, final_partitions=final)
 
 
 _FITTERS = {

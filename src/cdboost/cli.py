@@ -106,8 +106,26 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _merge_config(args: argparse.Namespace, argv: list[str]):
-    """Apply config-file values for options not given on the command line."""
+def _config_value(action: argparse.Action, raw: str, where: str):
+    """Convert one config-file value as its option would on the command line."""
+    if action.nargs == 0:            # a store_true-style flag
+        return action.const if raw.lower() in ("1", "true", "yes", "on") else action.default
+    try:
+        value = (action.type or str)(raw)
+    except ValueError:
+        raise ParseError(f"{where}: bad value {raw!r} for {action.dest!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ParseError(f"{where}: {action.dest!r} must be one of "
+                         f"{', '.join(map(str, action.choices))}, got {raw!r}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser):
+    """Apply config-file values for options not given on the command line.
+
+    Each value is converted with its option's declared type and checked
+    against its choices, as argparse would for the flag.
+    """
     if not getattr(args, "config", None):
         return
     overrides = _read_config_file(args.config)
@@ -116,24 +134,15 @@ def _merge_config(args: argparse.Namespace, argv: list[str]):
         if tok.startswith("--"):
             key = tok[2:].split("=", 1)[0].replace("-", "_")
             on_cli.add(_KEY_ALIASES.get(key, key))
+    # argparse keeps the subcommand's option actions only in this attribute
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     for key, raw in overrides.items():
         if key in on_cli:
             continue
-        if not hasattr(args, key):
+        if key not in actions:
             raise ValidationError(f"{args.config}: unknown config key {key!r}")
-        current = getattr(args, key)
-        try:
-            if isinstance(current, bool):
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            else:
-                value = raw
-        except ValueError:
-            raise ParseError(f"{args.config}: bad value {raw!r} for {key!r}") from None
-        setattr(args, key, value)
+        setattr(args, key, _config_value(actions[key], raw, args.config))
 
 
 def _parse_rho(text: str) -> tuple[float, float, float]:
@@ -193,8 +202,7 @@ def _design_from_args(args) -> SimDesign:
 # ---------------------------------------------------------------------------
 
 
-def cmd_fit(args, argv) -> int:
-    _merge_config(args, argv)
+def cmd_fit(args) -> int:
     bundles, names = load_bundles(args.data, standardize=not args.no_standardize)
     groups = read_groups_tsv(args.groups, names)
     model = _infer_model(args, bundles)
@@ -235,8 +243,7 @@ def cmd_fit(args, argv) -> int:
     return 0
 
 
-def cmd_simulate(args, argv) -> int:
-    _merge_config(args, argv)
+def cmd_simulate(args) -> int:
     scenarios = None
     if args.preset == "small-example":
         design = small_example_design(args.seed, args.model)
@@ -253,8 +260,7 @@ def cmd_simulate(args, argv) -> int:
     return 0
 
 
-def cmd_benchmark(args, argv) -> int:
-    _merge_config(args, argv)
+def cmd_benchmark(args) -> int:
     design = _design_from_args(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -278,8 +284,7 @@ def cmd_benchmark(args, argv) -> int:
     return 0
 
 
-def cmd_stability(args, argv) -> int:
-    _merge_config(args, argv)
+def cmd_stability(args) -> int:
     bundles, names = load_bundles(args.data, standardize=not args.no_standardize)
     groups = read_groups_tsv(args.groups, names)
     model = _infer_model(args, bundles)
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip column standardization on load")
     p_fit.add_argument("--output", help="output JSON path (default stdout)")
     _add_common_fit_flags(p_fit)
-    p_fit.set_defaults(handler=cmd_fit)
+    p_fit.set_defaults(handler=cmd_fit, subparser=p_fit)
 
     p_sim = sub.add_parser("simulate", help="write synthetic dataset files")
     p_sim.add_argument("--preset", default="standard",
@@ -364,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replicate", type=int, default=0)
     p_sim.add_argument("--outdir", required=True)
     p_sim.add_argument("--config", help="key=value defaults file; flags win")
-    p_sim.set_defaults(handler=cmd_simulate)
+    p_sim.set_defaults(handler=cmd_simulate, subparser=p_sim)
 
     p_bench = sub.add_parser("benchmark", help="simulate, fit, and score methods")
     p_bench.add_argument("--preset", default="standard",
@@ -387,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--table", help="also write the text table here")
     p_bench.add_argument("--output", help="report JSON path (default stdout)")
     _add_common_fit_flags(p_bench)
-    p_bench.set_defaults(handler=cmd_benchmark)
+    p_bench.set_defaults(handler=cmd_benchmark, subparser=p_bench)
 
     p_stab = sub.add_parser("stability", help="repeated-split selection stability")
     p_stab.add_argument("--data", nargs="+", required=True, metavar="CSV")
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.add_argument("--no-standardize", action="store_true")
     p_stab.add_argument("--output", help="output JSON path (default stdout)")
     _add_common_fit_flags(p_stab)
-    p_stab.set_defaults(handler=cmd_stability)
+    p_stab.set_defaults(handler=cmd_stability, subparser=p_stab)
 
     return parser
 
@@ -409,7 +414,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, argv)
+        _merge_config(args, argv, args.subparser)
+        return args.handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,11 +112,12 @@ class GroupStructure:
         object.__setattr__(self, "assignment", a)
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("group assignment must be a non-empty 1-D array")
-        K = int(a.max()) + 1
-        counts = np.bincount(a, minlength=K)
-        if a.min() < 0 or (counts == 0).any():
+        if a.min() < 0:
+            raise ValidationError(f"group ids must be >= 0, got {int(a.min())}")
+        counts = np.bincount(a)
+        if (counts == 0).any():
             missing = np.nonzero(counts == 0)[0].tolist()
-            raise ValidationError(f"empty or invalid groups: {missing}")
+            raise ValidationError(f"empty groups: {missing}")
 
     @property
     def p(self) -> int:
@@ -192,7 +193,8 @@ class FitResult:
     ``beta_hat`` is p x M, ``partitions`` the per-group equality classes at
     the selected iteration, ``objective_trace`` the stopping objective for
     t = 1..T, and ``selected`` the per-dataset arrays of covariates with
-    nonzero estimates.
+    nonzero estimates.  ``final_partitions`` holds the classes after the
+    last iteration T of the cd_sboost path (None for the other fitters).
     """
 
     beta_hat: np.ndarray
@@ -201,6 +203,7 @@ class FitResult:
     objective_trace: np.ndarray
     loss_trace: np.ndarray | None = None  # summed pure loss per iteration
     selected: list[np.ndarray] = field(default_factory=list)
+    final_partitions: list[Partition] | None = None
 
     def __post_init__(self):
         if not self.selected:

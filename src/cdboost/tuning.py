@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BoostConfig, FitResult, GroupStructure, NumericError, ValidationError
+from .data import (
+    BoostConfig,
+    FitResult,
+    GroupStructure,
+    NumericError,
+    ValidationError,
+    all_common_partition,
+)
 from .losses import build_context
 
 RSS_FLOOR = 1e-12
@@ -112,6 +119,19 @@ def select_lambda(
     Ties (including duplicate grid values) resolve to the smaller lambda.
     The grid object, when supplied, is filled with per-value scores and
     fits. Fits may run in parallel; the winner is identical either way.
+
+    The serial search stops fitting at the first grid value whose cd path
+    leaves every group's partition a single class through iteration T; each
+    later grid value reuses that (score, fit) pair, the same objects, so
+    ``grid.fits[j] is grid.fits[i]``.  This is exact.  Lambda enters the
+    path only through the split cost ``lam / normalizer * pairs`` added to
+    the objective of a proper class subset with a nonzero increment; that
+    rounded cost never falls as lambda rises, while the objective of a full
+    class or a zero increment does not depend on lambda.  Every winner of
+    a split-free path is of the second kind, so it stays the winner, tie
+    break included, at any larger lambda, and the penalty term of the trace
+    is lam * 0 / normalizer = 0.0 throughout.  Paths, traces, t_hat,
+    coefficients and scores are therefore bit-identical to a fresh fit.
     """
     bundles = list(bundles)
     if grid is None:
@@ -121,7 +141,13 @@ def select_lambda(
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_and_score, jobs))
     else:
-        results = [_fit_and_score(j) for j in jobs]
+        whole = [all_common_partition(len(bundles))] * groups.K
+        results = []
+        for job in jobs:
+            if results and results[-1][1].final_partitions == whole:
+                results.append(results[-1])
+            else:
+                results.append(_fit_and_score(job))
     grid.scores = [score for score, _ in results]
     grid.fits = [fit for _, fit in results]
     best = None

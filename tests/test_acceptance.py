@@ -159,7 +159,7 @@ def test_criterion_1_oracle_equivalence():
         ctx = build_context(bundles, "lr")
         spec = PenaltySpec(lam=lam, M=2, K=2, mode=mode)
         init = [all_common_partition(2)] * 2
-        records, trace, _ = _cd_path(ctx, groups, config, spec, init, False)
+        records, trace, _, _ = _cd_path(ctx, groups, config, spec, init, False)
         b_records, b_trace, b_beta, _ = brute_cd_path(
             [b.X for b in bundles], [b.y for b in bundles],
             [np.full(b.n, 1.0 / b.n) for b in bundles],

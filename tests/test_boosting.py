@@ -349,8 +349,8 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
         ctx = build_context(bundles, "lr")
         spec = PenaltySpec(lam=lam, M=M, K=2, mode=mode)
-        records, trace, _ = _cd_path(ctx, groups, config, spec,
-                                     [all_common_partition(M)] * 2, True)
+        records, trace, _, _ = _cd_path(ctx, groups, config, spec,
+                                        [all_common_partition(M)] * 2, True)
         b_records, b_trace, _, _ = brute_cd_path(
             [b.X for b in bundles], [b.y for b in bundles],
             [np.full(b.n, 1.0 / b.n) for b in bundles],

@@ -229,6 +229,49 @@ def test_non_numeric_config_value_exit_2(tmp_path, capsys, rng):
     assert "'iters'" in capsys.readouterr().err
 
 
+def test_config_values_typed_like_their_flags(tmp_path):
+    """Options without a default (n, p, k, sigma2, scheme) are converted by
+    their declared type, so a config file and the same flags agree."""
+    base = ["benchmark", "--rho", "0.5,0.5,0", "--methods", "cd,pool",
+            "--replicates", "1", "--iters", "30", "--lambda", "0.4", "--seed", "2"]
+    by_flags = tmp_path / "flags.json"
+    assert main([*base, "--n", "40", "--p", "50", "--k", "2", "--sigma2", "2.0",
+                 "--scheme", "fixed", "--output", str(by_flags)]) == 0
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("n = 40\np = 50\nk = 2\nsigma2 = 2.0\nscheme = fixed\n")
+    by_file = tmp_path / "file.json"
+    assert main([*base, "--config", str(cfg), "--output", str(by_file)]) == 0
+    assert by_file.read_bytes() == by_flags.read_bytes()
+
+
+def test_config_store_true_flag(tmp_path, capsys, rng):
+    paths, groups = _write_problem(tmp_path, rng)
+    argv = ["fit", "--data", *paths, "--groups", groups, "--iters", "20",
+            "--lambda", "0.5"]
+    assert main([*argv, "--no-standardize"]) == 0
+    by_flag = capsys.readouterr().out
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text("no_standardize = yes\nmodel = lr\n")
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == by_flag
+
+
+@pytest.mark.parametrize("line, key", [
+    ("n = forty", "'n'"),
+    ("sigma2 = loud", "'sigma2'"),
+    ("scheme = bogus", "'scheme'"),
+    ("model = probit", "'model'"),
+    ("penalty_mode = sideways", "'penalty_mode'"),
+    ("design = S9", "'design'"),
+])
+def test_bad_config_value_exit_2(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["benchmark", "--seed", "1", "--replicates", "1",
+                 "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_non_finite_grid_value_exit_3(tmp_path, capsys, rng):
     paths, groups = _write_problem(tmp_path, rng)
     assert main(["fit", "--data", *paths, "--groups", groups, "--iters", "20",

@@ -54,6 +54,12 @@ def test_group_structure_rejects_gap():
         GroupStructure(assignment=np.array([0, 0, 2]))
 
 
+@pytest.mark.parametrize("assignment", [[-1, 0, 1], [0, -3, 1, 1], [-1, -1]])
+def test_group_structure_rejects_negative_ids(assignment):
+    with pytest.raises(ValidationError, match="group ids must be >= 0"):
+        GroupStructure(assignment=assignment)
+
+
 def test_validate_consistent_problem(lr_problem):
     bundles, groups = lr_problem
     prob = validate(bundles, groups, "lr")

@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdboost.data import BoostConfig, DatasetBundle, GroupStructure, ValidationError
+from cdboost import boosting
+from cdboost.data import (
+    BoostConfig,
+    DatasetBundle,
+    GroupStructure,
+    ValidationError,
+    all_common_partition,
+    canonical_partition,
+)
 from cdboost.boosting import cd_sboost_fit, fit as run_fit
 from cdboost.metrics import group_tp_fp
 from cdboost.simulate import SimDesign, simulate_replicate
@@ -115,6 +124,30 @@ def test_grid_validation():
 # ---------------------------------------------------------------------------
 
 
+def _fresh_grid(bundles, groups, config, values, **fit_kwargs):
+    """(score, fit) of every grid value, each fitted from scratch."""
+    out = []
+    for lam in values:
+        cfg = BoostConfig(nu=config.nu, T=config.T, lam=lam, algorithm="cd_sboost",
+                          model=config.model, penalty_mode=config.penalty_mode)
+        fit = cd_sboost_fit(bundles, groups, cfg, **fit_kwargs)
+        out.append((hdbic(fit, bundles), fit))
+    return out
+
+
+def _fit_bytes(fit):
+    return (fit.beta_hat.tobytes(), fit.objective_trace.tobytes(),
+            fit.loss_trace.tobytes(), fit.t_hat, fit.partitions, fit.final_partitions)
+
+
+def _score_bytes(scores):
+    return np.array(scores, dtype=float).tobytes()
+
+
+def _split_free(fit, M, K):
+    return fit.final_partitions == [all_common_partition(M)] * K
+
+
 def test_select_lambda_tie_takes_smaller(rng):
     # With one dataset the commonality penalty is identically zero, so every
     # grid value yields the same path and score; the tie must go to lam=0.
@@ -141,14 +174,19 @@ def test_select_lambda_fills_grid(lr_problem):
 
 
 def test_select_lambda_workers_agree(lr_problem):
+    # the serial search reuses the split-free fit at 1.0 for 10.0; the
+    # parallel one fits every value
     bundles, groups = lr_problem
     config = BoostConfig(T=25, algorithm="cd_sboost")
-    grid = LambdaGrid(values=(0.0, 1.0))
+    grid = LambdaGrid(values=(0.0, 1.0, 10.0))
     lam1, fit1 = select_lambda(bundles, groups, config, grid=grid)
-    lam2, fit2 = select_lambda(bundles, groups, config,
-                               grid=LambdaGrid(values=(0.0, 1.0)), workers=2)
+    parallel = LambdaGrid(values=(0.0, 1.0, 10.0))
+    lam2, fit2 = select_lambda(bundles, groups, config, grid=parallel, workers=2)
+    assert grid.fits[2] is grid.fits[1]
     assert lam1 == lam2
     assert np.array_equal(fit1.beta_hat, fit2.beta_hat)
+    assert _score_bytes(grid.scores) == _score_bytes(parallel.scores)
+    assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for f in parallel.fits]
 
 
 def test_select_lambda_rewards_commonality():
@@ -168,3 +206,65 @@ def test_select_lambda_rewards_commonality():
         if lam > 0 and tp_t >= tp_p:
             wins += 1
     assert wins > 10
+
+
+# ---------------------------------------------------------------------------
+# select_lambda: reuse of split-free fits
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(1, 4), mode=st.sampled_from(["all_pairs", "ordered"]),
+       model=st.sampled_from(["lr", "aft"]), mixed=st.booleans(),
+       values=st.lists(st.sampled_from([0.0, 0.02, 0.2, 1.0, 5.0, 50.0, 1e4]),
+                       min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_select_lambda_reuse_is_bit_identical(M, mode, model, mixed, values, seed):
+    """Scores, fits and choice equal fitting every grid value from scratch,
+    byte for byte, for all-common and mixed starting partitions and grids
+    with duplicate values."""
+    rng = np.random.default_rng(seed)
+    make = make_lr_bundles if model == "lr" else make_aft_bundles
+    bundles = make(rng, M=M, n=int(rng.integers(12, 20)), p=6)
+    groups = tiny_groups(6, 3)
+    init = None
+    if mixed:
+        init = [canonical_partition(
+            tuple(tuple(int(m) for m in np.nonzero(labels == c)[0]) for c in set(labels)))
+            for labels in rng.integers(0, 2, size=(3, M))]
+    config = BoostConfig(T=15, algorithm="cd_sboost", model=model, penalty_mode=mode)
+    grid = LambdaGrid(values=tuple(sorted(values)))
+    # element-wise checks hold only from the all-common start
+    kwargs = dict(initial_partitions=init, verify_partitions=not mixed)
+    lam, fit = select_lambda(bundles, groups, config, grid=grid, **kwargs)
+    fresh = _fresh_grid(bundles, groups, config, grid.values, **kwargs)
+    assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
+    assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for _, f in fresh]
+    best = min(range(len(fresh)), key=lambda i: (fresh[i][0], i))
+    assert lam == grid.values[best]
+    assert _fit_bytes(fit) == _fit_bytes(fresh[best][1])
+    # every value after the first split-free one shares its fit object
+    first = next((i for i, (_, f) in enumerate(fresh) if _split_free(f, M, 3)), None)
+    if first is not None:
+        assert all(f is grid.fits[first] for f in grid.fits[first:])
+
+
+def test_select_lambda_stops_fitting_after_split_free_value(lr_problem, monkeypatch):
+    bundles, groups = lr_problem
+    config = BoostConfig(T=40, algorithm="cd_sboost")
+    values = (0.0, 0.05, 0.2, 0.5, 2.0, 10.0)
+    fresh = _fresh_grid(bundles, groups, config, values)
+    first = next(i for i, (_, f) in enumerate(fresh) if _split_free(f, 3, groups.K))
+    assert 0 < first < len(values) - 1
+    calls = []
+
+    def counting(bundles, groups, config, **kwargs):
+        calls.append(config.lam)
+        return cd_sboost_fit(bundles, groups, config, **kwargs)
+
+    monkeypatch.setattr(boosting, "cd_sboost_fit", counting)
+    grid = LambdaGrid(values=values)
+    select_lambda(bundles, groups, config, grid=grid)
+    assert calls == list(values[:first + 1])
+    assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
+
