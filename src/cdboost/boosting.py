@@ -1,21 +1,27 @@
 """Componentwise sparse boosting, separately and across multiple datasets.
 
-Four fitting strategies share one per-step building block (the closed-form
-single-covariate increment of the loss module):
+One engine, ``_path``, runs every fitter.  Each iteration it scores every
+covariate s against every candidate dataset subset A -- a non-empty subset of
+one equality class of s's group, datasets in a class holding identical
+coefficient blocks -- with the shared closed-form increment over A and the
+change of the objective: loss + BIC-type sparsity term + commonality penalty
+(lam times the fraction of (group, dataset-pair) blocks that differ).
+Applying an increment to a proper subset of a class splits the class;
+classes never merge.  The fitters differ only in the starting classes, in
+which candidates step and in where they stop:
 
-* ``sboost_fit``      -- one dataset; per step the (covariate, increment)
-  pair minimizing loss + a BIC-type sparsity term; stops at the trace argmin.
-* ``sep_sboost_fit``  -- each dataset fit separately, results combined.
-* ``int_sboost_fit``  -- each dataset steps independently per iteration but
-  all share one selected number of iterations (argmin of the summed trace).
-* ``cd_sboost_fit``   -- all increments determined simultaneously.  Datasets
-  whose coefficient block for the covariate's group is currently identical
-  may receive one shared increment (any non-empty subset of such an equality
-  class); the objective adds a commonality penalty counting, per group and
-  dataset pair, blocks that differ.  Applying a shared increment to a proper
-  subset of a class splits it; classes never merge.
-* ``pool_sboost_fit`` -- all rows concatenated into one dataset, single
-  coefficient vector broadcast to every dataset.
+* ``cd_sboost_fit``   -- all datasets start in one class per group; each
+  iteration the single best candidate steps; stops at the first argmin of
+  the summed objective trace.
+* ``sep_sboost_fit``  -- every dataset is its own class (no penalty), and
+  each iteration every dataset steps with its own best covariate: M
+  independent single-dataset paths in lockstep.  Each dataset stops at the
+  argmin of its own trace.
+* ``int_sboost_fit``  -- the same paths, one shared stop at the argmin of the
+  summed trace.
+* ``sboost_fit``      -- one dataset: the M=1 case of the separate fit.
+* ``pool_sboost_fit`` -- all rows concatenated into one dataset, fit by
+  ``sboost_fit``, the coefficient vector broadcast to every dataset.
 
 All selections are deterministic: objective ties are broken toward the
 largest dataset subset, then the smallest covariate index, then the
@@ -24,6 +30,7 @@ lexicographically smallest subset.
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,20 +45,11 @@ from .data import (
     block_partition,
     canonical_partition,
     partition_refresh,
+    singleton_partitions,
     split_class,
     validate,
 )
-from .losses import LossContext, build_context, optimal_increment_joint, weighted_loss
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One tentative update: covariate s, dataset subset A, shared increment."""
-
-    s: int
-    A: tuple[int, ...]
-    gamma: float
-    objective: float | None = None
+from .losses import LossContext, build_context
 
 
 @dataclass(frozen=True)
@@ -115,226 +113,10 @@ def _class_containing(partition: Partition, A: tuple[int, ...]) -> tuple[int, ..
     raise ValueError(f"no class contains {A}")
 
 
-def commonality_penalty(state: CoefficientState, spec: PenaltySpec) -> float:
-    """lam * (number of differing (group, pair) blocks) / normalizer.
-
-    Computed from the tracked partitions, never from float comparison.
-    Defined as 0 for a single dataset.
-    """
-    if spec.M <= 1:
-        return 0.0
-    count = sum(_unequal_pairs(pt, spec.M, spec.mode) for pt in state.partitions)
-    return spec.lam * count / spec.normalizer
-
-
 def _nonempty_subsets(cls: tuple[int, ...]):
     """Non-empty subsets of a class, largest first, then lexicographic."""
     for size in range(len(cls), 0, -1):
         yield from itertools.combinations(cls, size)
-
-
-def candidate_set(
-    ctx: LossContext, state: CoefficientState, groups: GroupStructure, s: int
-) -> list[Candidate]:
-    """All tentative increments for covariate s.
-
-    For each equality class of the covariate's group, every non-empty
-    dataset subset of the class is a candidate, with the shared increment
-    minimizing the summed loss over the subset. When every class is a
-    singleton this reduces to the M single-dataset increments.
-    """
-    k = int(groups.assignment[s])
-    out = []
-    for cls in state.partitions[k]:
-        for A in _nonempty_subsets(cls):
-            gamma = optimal_increment_joint(ctx, state, s, A)
-            out.append(Candidate(s=s, A=A, gamma=gamma))
-    return out
-
-
-def cd_objective(
-    ctx: LossContext,
-    state: CoefficientState,
-    groups: GroupStructure,
-    cand: Candidate,
-    spec: PenaltySpec,
-) -> float:
-    """Full objective of one candidate, evaluated from scratch.
-
-    Sum over datasets of loss at the tentative (unscaled) update plus the
-    sparsity term, plus the commonality penalty at the tentatively split
-    partition.
-    """
-    beta = state.beta.copy()
-    beta[cand.s, list(cand.A)] += cand.gamma
-    k = int(groups.assignment[cand.s])
-    parts = list(state.partitions)
-    cls = _class_containing(parts[k], cand.A)
-    if cand.gamma != 0 and len(cand.A) < len(cls):
-        parts[k] = split_class(parts[k], cand.A)
-    total = 0.0
-    for m in range(ctx.M):
-        total += weighted_loss(ctx, beta[:, m], m)
-        total += ctx.penalty_factor[m] * np.count_nonzero(beta[:, m])
-    tentative = CoefficientState(beta=beta, partitions=parts, iteration=state.iteration)
-    return total + commonality_penalty(tentative, spec)
-
-
-# ---------------------------------------------------------------------------
-# Single-dataset engine
-# ---------------------------------------------------------------------------
-
-
-def _sboost_path(X, y, w, pf, nu, T):
-    """Greedy componentwise path on one dataset.
-
-    Returns the chosen covariate and unscaled increment per iteration plus
-    the stopping objective trace F[t] = loss + pf * nnz, t = 1..T.
-    """
-    n, p = X.shape
-    col_norm = (w[:, None] * X * X).sum(axis=0)
-    ok = col_norm > 0
-    beta = np.zeros(p)
-    nnz = 0                      # running count of nonzero coefficients
-    r = y.astype(float).copy()
-    steps = np.empty(T, dtype=np.int64)
-    gammas = np.empty(T)
-    trace = np.empty(T)
-    losses = np.empty(T)
-    for t in range(T):
-        numer = X.T @ (w * r)
-        gamma = np.divide(numer, col_norm, out=np.zeros(p), where=ok)
-        dloss = -gamma * numer + 0.5 * gamma * gamma * col_norm
-        dnnz = ((beta + gamma) != 0).astype(float) - (beta != 0)
-        obj = dloss + pf * dnnz
-        s = int(np.argmin(obj))
-        g = float(gamma[s])
-        was_nonzero = beta[s] != 0
-        beta[s] += nu * g
-        nnz += int(beta[s] != 0) - int(was_nonzero)
-        r -= (nu * g) * X[:, s]
-        steps[t] = s
-        gammas[t] = g
-        losses[t] = 0.5 * float(w @ (r * r))
-        trace[t] = losses[t] + pf * nnz
-    return steps, gammas, trace, losses
-
-
-def _replay_single(steps, gammas, nu, p, t_stop):
-    beta = np.zeros(p)
-    for t in range(t_stop):
-        beta[steps[t]] += nu * gammas[t]
-    return beta
-
-
-def _first_argmin(trace) -> int:
-    """Selected iteration (1-based): first minimum of the trace."""
-    return int(np.argmin(trace)) + 1
-
-
-def sboost_fit(bundle: DatasetBundle, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    """Sparse boosting on a single dataset."""
-    prob = validate([bundle], groups, config.model)
-    ctx = build_context(prob.bundles, config.model)
-    steps, gammas, trace, losses = _sboost_path(
-        ctx.X[0], ctx.y[0], ctx.weights[0], ctx.penalty_factor[0], config.nu, config.T
-    )
-    t_hat = _first_argmin(trace)
-    beta = _replay_single(steps, gammas, config.nu, ctx.p, t_hat)
-    return FitResult(
-        beta_hat=beta[:, None],
-        t_hat=t_hat,
-        partitions=[all_common_partition(1)] * groups.K,
-        objective_trace=trace,
-        loss_trace=losses,
-    )
-
-
-def sep_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    """Fit every dataset separately (its own stopping point); combine columns.
-
-    Partitions are computed afterward by exact block comparison.
-    """
-    prob = validate(bundles, groups, config.model)
-    ctx = build_context(prob.bundles, config.model)
-    M = ctx.M
-    beta = np.zeros((ctx.p, M))
-    traces = []
-    losses = []
-    t_hats = []
-    for m in range(M):
-        steps, gammas, trace, loss = _sboost_path(
-            ctx.X[m], ctx.y[m], ctx.weights[m], ctx.penalty_factor[m], config.nu, config.T
-        )
-        t_m = _first_argmin(trace)
-        beta[:, m] = _replay_single(steps, gammas, config.nu, ctx.p, t_m)
-        traces.append(trace)
-        losses.append(loss)
-        t_hats.append(t_m)
-    state = partition_refresh(
-        CoefficientState(beta=beta, partitions=[], iteration=max(t_hats)), groups
-    )
-    return FitResult(
-        beta_hat=beta,
-        t_hat=max(t_hats),
-        partitions=state.partitions,
-        objective_trace=np.sum(traces, axis=0),
-        loss_trace=np.sum(losses, axis=0),
-    )
-
-
-def int_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    """Integrative variant: independent per-dataset steps, one shared t-hat
-    minimizing the summed objective trace."""
-    prob = validate(bundles, groups, config.model)
-    ctx = build_context(prob.bundles, config.model)
-    M = ctx.M
-    paths = [
-        _sboost_path(ctx.X[m], ctx.y[m], ctx.weights[m], ctx.penalty_factor[m], config.nu, config.T)
-        for m in range(M)
-    ]
-    total = np.sum([tr for _, _, tr, _ in paths], axis=0)
-    t_hat = _first_argmin(total)
-    beta = np.zeros((ctx.p, M))
-    for m, (steps, gammas, _, _) in enumerate(paths):
-        beta[:, m] = _replay_single(steps, gammas, config.nu, ctx.p, t_hat)
-    state = partition_refresh(
-        CoefficientState(beta=beta, partitions=[], iteration=t_hat), groups
-    )
-    return FitResult(
-        beta_hat=beta, t_hat=t_hat, partitions=state.partitions, objective_trace=total,
-        loss_trace=np.sum([lo for _, _, _, lo in paths], axis=0),
-    )
-
-
-def _pooled_bundle(bundles) -> DatasetBundle:
-    X = np.vstack([b.X for b in bundles])
-    y = np.concatenate([b.y for b in bundles])
-    delta = None
-    if bundles[0].delta is not None:
-        delta = np.concatenate([b.delta for b in bundles])
-    return DatasetBundle(X=X, y=y, delta=delta, id=0)
-
-
-def pool_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    """Row-concatenate all datasets, fit once, broadcast the coefficients."""
-    bundles = list(bundles)
-    validate(bundles, groups, config.model)
-    M = len(bundles)
-    single = sboost_fit(_pooled_bundle(bundles), groups, config)
-    beta = np.repeat(single.beta_hat, M, axis=1)
-    return FitResult(
-        beta_hat=beta,
-        t_hat=single.t_hat,
-        partitions=[all_common_partition(M)] * groups.K,
-        objective_trace=single.objective_trace,
-        loss_trace=single.loss_trace,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Commonality/difference engine
-# ---------------------------------------------------------------------------
 
 
 class _SubsetTasks:
@@ -379,6 +161,7 @@ class _SubsetTasks:
         self.denA = self.ind @ col_norms            # (S, p)
         self.okA = self.denA > 0
         self.invalid_sp = ~valid[:, assignment]     # (S, p)
+        self.any_invalid = bool(self.invalid_sp.any())
         self.dsplit_sp = dsplit[:, assignment]
 
 
@@ -395,13 +178,38 @@ def _sparsity_change(tasks: _SubsetTasks, coef: np.ndarray, gamma: np.ndarray) -
     return dnnz
 
 
-def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
-             spec: PenaltySpec, initial_partitions, verify_partitions):
-    """Greedy commonality/difference path over all T iterations.
+class _Path(NamedTuple):
+    """What ``_path`` returns; iteration t is row t of the step arrays and
+    column t of the traces.  Steps live in arrays rather than one Python
+    tuple each, which would cost about five times the memory over the M * T
+    steps of a lockstep path."""
 
-    Returns the (s, A, gamma) record of every iteration, the stopping
-    objective and the summed loss per iteration, and the per-group
-    partitions after iteration T.  Each candidate subset lies
+    subsets: list             # per iteration, the candidate subsets scored
+    rows: np.ndarray          # (T, R) stepping rows of those subsets
+    s: np.ndarray             # (T, R) covariate of each step
+    gamma: np.ndarray         # (T, R) unscaled increment of each step
+    loss: np.ndarray          # (M, T) loss of each dataset after each iteration
+    sparsity: np.ndarray      # (M, T) sparsity term of each dataset
+    penalty: np.ndarray       # (T,) commonality penalty
+    partitions: list[Partition]  # per-group classes after iteration T
+
+    def steps(self, t):
+        """The (s, A, gamma) updates of iteration t, in the order applied."""
+        subsets = self.subsets[t]
+        return [(s, subsets[i], g) for i, s, g in
+                zip(self.rows[t].tolist(), self.s[t].tolist(), self.gamma[t].tolist())]
+
+
+def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
+          spec: PenaltySpec, initial_partitions, verify_partitions=False,
+          every_subset=False) -> _Path:
+    """Greedy boosting path over all T iterations.
+
+    Each iteration scores every candidate (covariate, subset) pair.  By
+    default the single best one steps.  With ``every_subset`` each candidate
+    subset instead steps with its own best covariate; the drivers use this
+    only with singleton classes, which never split, where it runs M
+    independent single-dataset paths in lockstep.  Each candidate subset lies
     inside one equality class of its covariate's group, which is what makes
     the per-subset sparsity term of ``_SubsetTasks`` exact.
     """
@@ -410,7 +218,8 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     assignment = groups.assignment
     pf = np.asarray(ctx.penalty_factor)
     col_norms = np.vstack(ctx.col_norms)
-    pen_scale = spec.lam / spec.normalizer if spec.normalizer > 0 else 0.0
+    normalizer = spec.normalizer
+    pen_scale = spec.lam / normalizer if normalizer > 0 else 0.0
 
     parts: list[Partition] = list(initial_partitions)
     unequal = sum(_unequal_pairs(pt, M, spec.mode) for pt in parts)
@@ -419,86 +228,172 @@ def _cd_path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
 
-    records: list[tuple[int, tuple[int, ...], float]] = []
-    trace = np.empty(T)
-    losses = np.empty(T)
     tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode, pen_scale)
+    R = len(tasks.subsets) if every_subset else 1
+    subsets = []
+    rows = np.empty((T, R), dtype=np.int64)
+    s_steps = np.empty((T, R), dtype=np.int64)
+    g_steps = np.empty((T, R))
+    loss = np.empty((M, T))
+    sparsity = np.empty((M, T))
+    penalty = np.empty(T)
     group_idx = [groups.indices(k) for k in range(K)] if verify_partitions else None
 
     for t in range(T):
         numA = tasks.ind @ numer                                    # (S, p)
-        gamma = np.divide(numA, tasks.denA, out=np.zeros_like(numA),
+        gamma = np.divide(numA, tasks.denA, out=np.zeros(numA.shape),
                           where=tasks.okA)
         dobj = -gamma * numA + 0.5 * gamma * gamma * tasks.denA
         dobj += _sparsity_change(tasks, coef, gamma)
         if pen_scale > 0.0:
             np.add(dobj, tasks.dsplit_sp, out=dobj, where=gamma != 0)
-        dobj[tasks.invalid_sp] = np.inf
+        if tasks.any_invalid:
+            dobj[tasks.invalid_sp] = np.inf
 
-        js = np.argmin(dobj, axis=1)   # per subset: first minimum, smallest s
-        best_key = None
-        best = None
-        for i, A in enumerate(tasks.subsets):
-            j = int(js[i])
-            key = (float(dobj[i, j]), -len(A), j, A)
-            if best_key is None or key < best_key:
-                best_key, best = key, (j, A, float(gamma[i, j]))
+        js = dobj.argmin(axis=1).tolist()  # per subset: first minimum, smallest s
+        candidates = tasks.subsets
+        if every_subset:
+            stepping = range(R)
+        else:   # ties: largest subset, then smallest s, then smallest subset
+            stepping = [min(range(len(candidates)), key=lambda i: (
+                float(dobj[i, js[i]]), -len(candidates[i]), js[i], candidates[i]))]
+        subsets.append(candidates)
 
-        s_hat, A_hat, g_hat = best
-        k_hat = int(assignment[s_hat])
-        cls = _class_containing(parts[k_hat], A_hat)
-        if g_hat != 0.0 and len(A_hat) < len(cls):
-            unequal += _split_delta(cls, A_hat, spec.mode)
-            parts[k_hat] = split_class(parts[k_hat], A_hat)
-            tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode, pen_scale)
-        step = nu * g_hat
-        for m in A_hat:
-            was_nonzero = coef[m, s_hat] != 0
-            coef[m, s_hat] += step
-            nnz[m] += int(coef[m, s_hat] != 0) - int(was_nonzero)
-            resid[m] -= step * ctx.X[m][:, s_hat]
-            numer[m] = ctx.X[m].T @ (ctx.weights[m] * resid[m])
-        records.append((s_hat, A_hat, g_hat))
-
-        loss = sum(0.5 * float(ctx.weights[m] @ (resid[m] * resid[m])) for m in range(M))
-        sparsity = sum(pf[m] * nnz[m] for m in range(M))
-        pen = spec.lam * unequal / spec.normalizer if spec.normalizer > 0 else 0.0
-        losses[t] = loss
-        trace[t] = loss + sparsity + pen
-
-        if verify_partitions:
-            # only group k_hat changed this iteration; untouched groups agree
-            # by induction, and the full state is re-checked after the loop
-            if block_partition(coef[:, group_idx[k_hat]].T) != parts[k_hat]:
+        for r, i in enumerate(stepping):
+            s_hat, A_hat, g_hat = js[i], candidates[i], float(gamma[i, js[i]])
+            rows[t, r], s_steps[t, r], g_steps[t, r] = i, s_hat, g_hat
+            k_hat = int(assignment[s_hat])
+            cls = _class_containing(parts[k_hat], A_hat)
+            if g_hat != 0.0 and len(A_hat) < len(cls):
+                unequal += _split_delta(cls, A_hat, spec.mode)
+                parts[k_hat] = split_class(parts[k_hat], A_hat)
+                tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode,
+                                     pen_scale)
+            step = nu * g_hat
+            for m in A_hat:
+                was_nonzero = coef[m, s_hat] != 0
+                coef[m, s_hat] += step
+                nnz[m] += int(coef[m, s_hat] != 0) - int(was_nonzero)
+                resid[m] -= step * ctx.X[m][:, s_hat]
+                numer[m] = ctx.X[m].T @ (ctx.weights[m] * resid[m])
+            # only group k_hat changed; untouched groups agree by induction,
+            # and the full state is re-checked after the loop
+            if verify_partitions and \
+                    block_partition(coef[:, group_idx[k_hat]].T) != parts[k_hat]:
                 raise AssertionError(
                     f"iteration {t + 1}: tracked partition of group {k_hat} "
                     f"diverged from element-wise comparison"
                 )
 
-    if verify_partitions and T > 0:
-        refreshed = partition_refresh(
-            CoefficientState(beta=coef.T, partitions=parts, iteration=T), groups
-        )
+        for m in range(M):
+            loss[m, t] = 0.5 * float(ctx.weights[m] @ (resid[m] * resid[m]))
+            sparsity[m, t] = pf[m] * nnz[m]
+        penalty[t] = spec.lam * unequal / normalizer if normalizer > 0 else 0.0
+
+    if verify_partitions:
+        refreshed = partition_refresh(CoefficientState(beta=coef.T, partitions=parts), groups)
         if refreshed.partitions != parts:
             raise AssertionError(
                 "final state: tracked partitions diverged from element-wise "
                 "comparison"
             )
-    return records, trace, losses, parts
+    return _Path(subsets, rows, s_steps, g_steps, loss, sparsity, penalty, parts)
 
 
-def _replay_cd(records, groups: GroupStructure, nu, p, M, initial_partitions, t_stop):
-    beta = np.zeros((p, M))
+def _replay(path: _Path, assignment, nu, p, initial_partitions, t_stop):
+    """Coefficients after the first ``t_stop[m]`` iterations for dataset m,
+    and the classes after the first ``max(t_stop)`` iterations."""
+    beta = np.zeros((p, len(t_stop)))
     parts = list(initial_partitions)
-    for s, A, g in records[:t_stop]:
-        k = int(groups.assignment[s])
-        if g != 0.0:
-            cls = _class_containing(parts[k], A)
-            if len(A) < len(cls):
-                parts[k] = split_class(parts[k], A)
-        for m in A:
-            beta[s, m] += nu * g
+    for t in range(max(t_stop)):
+        for s, A, g in path.steps(t):
+            k = int(assignment[s])
+            if g != 0.0:
+                cls = _class_containing(parts[k], A)
+                if len(A) < len(cls):
+                    parts[k] = split_class(parts[k], A)
+            for m in A:
+                if t < t_stop[m]:
+                    beta[s, m] += nu * g
     return beta, parts
+
+
+def _first_argmin(trace) -> int:
+    """Selected iteration (1-based): first minimum of the trace."""
+    return int(np.argmin(trace)) + 1
+
+
+def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
+                  shared_stop: bool) -> FitResult:
+    """Independent single-dataset paths of every dataset, run as one path.
+
+    Each dataset stops at the first argmin of its own objective trace (loss +
+    sparsity term) or, with ``shared_stop``, all at that of the summed trace.
+    Partitions are computed afterward by exact block comparison.
+    """
+    prob = validate(bundles, groups, config.model)
+    ctx = build_context(prob.bundles, config.model)
+    spec = PenaltySpec(lam=0.0, M=ctx.M, K=groups.K, mode=config.penalty_mode)
+    singles = singleton_partitions(ctx.M, groups.K)
+    path = _path(ctx, groups, config, spec, singles, every_subset=True)
+    objective = path.loss + path.sparsity
+    total = np.sum(objective, axis=0)
+    if shared_stop:
+        t_stop = [_first_argmin(total)] * ctx.M
+    else:
+        t_stop = [_first_argmin(trace) for trace in objective]
+    beta, _ = _replay(path, groups.assignment, config.nu, ctx.p, singles, t_stop)
+    state = partition_refresh(CoefficientState(beta=beta, partitions=[]), groups)
+    return FitResult(
+        beta_hat=beta,
+        t_hat=max(t_stop),
+        partitions=state.partitions,
+        objective_trace=total,
+        loss_trace=np.sum(path.loss, axis=0),
+    )
+
+
+def sep_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
+    """Fit every dataset separately (its own stopping point); combine columns."""
+    return _lockstep_fit(bundles, groups, config, shared_stop=False)
+
+
+def int_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
+    """Integrative variant: independent per-dataset steps, one shared t-hat
+    minimizing the summed objective trace."""
+    return _lockstep_fit(bundles, groups, config, shared_stop=True)
+
+
+def sboost_fit(bundle: DatasetBundle, groups: GroupStructure, config: BoostConfig) -> FitResult:
+    """Sparse boosting on a single dataset: per step the (covariate,
+    increment) pair minimizing loss + sparsity term; stops at the trace
+    argmin."""
+    return sep_sboost_fit([bundle], groups, config)
+
+
+def _pooled_bundle(bundles) -> DatasetBundle:
+    X = np.vstack([b.X for b in bundles])
+    y = np.concatenate([b.y for b in bundles])
+    delta = None
+    if bundles[0].delta is not None:
+        delta = np.concatenate([b.delta for b in bundles])
+    return DatasetBundle(X=X, y=y, delta=delta, id=0)
+
+
+def pool_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
+    """Row-concatenate all datasets, fit once, broadcast the coefficients."""
+    bundles = list(bundles)
+    validate(bundles, groups, config.model)
+    M = len(bundles)
+    single = sboost_fit(_pooled_bundle(bundles), groups, config)
+    beta = np.repeat(single.beta_hat, M, axis=1)
+    return FitResult(
+        beta_hat=beta,
+        t_hat=single.t_hat,
+        partitions=[all_common_partition(M)] * groups.K,
+        objective_trace=single.objective_trace,
+        loss_trace=single.loss_trace,
+    )
 
 
 def cd_sboost_fit(
@@ -532,12 +427,14 @@ def cd_sboost_fit(
         initial_partitions = [all_common_partition(M)] * groups.K
     else:
         initial_partitions = [canonical_partition(pt) for pt in initial_partitions]
-    records, trace, losses, final = _cd_path(ctx, groups, config, spec, initial_partitions,
-                                             verify_partitions)
+    path = _path(ctx, groups, config, spec, initial_partitions, verify_partitions)
+    loss = sum(path.loss)
+    trace = loss + sum(path.sparsity) + path.penalty
     t_hat = _first_argmin(trace)
-    beta, parts = _replay_cd(records, groups, config.nu, ctx.p, M, initial_partitions, t_hat)
+    beta, parts = _replay(path, groups.assignment, config.nu, ctx.p,
+                          initial_partitions, [t_hat] * M)
     return FitResult(beta_hat=beta, t_hat=t_hat, partitions=parts, objective_trace=trace,
-                     loss_trace=losses, final_partitions=final)
+                     loss_trace=loss, final_partitions=path.partitions)
 
 
 _FITTERS = {

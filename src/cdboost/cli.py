@@ -123,20 +123,24 @@ def _config_value(action: argparse.Action, raw: str, where: str):
 def _merge_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser):
     """Apply config-file values for options not given on the command line.
 
-    Each value is converted with its option's declared type and checked
-    against its choices, as argparse would for the flag.
+    ``parser`` is the subcommand's parser.  The options given are those
+    whose action argparse ran: the subcommand's arguments are parsed again
+    into a namespace holding a placeholder for every option, and argparse
+    only replaces the placeholder of an action that consumed a token, so
+    abbreviated and ``--opt=value`` forms count.  Each value is converted
+    with its option's declared type and checked against its choices, as
+    argparse would for the flag.
     """
     if not getattr(args, "config", None):
         return
     overrides = _read_config_file(args.config)
-    on_cli = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            key = tok[2:].split("=", 1)[0].replace("-", "_")
-            on_cli.add(_KEY_ALIASES.get(key, key))
     # argparse keeps the subcommand's option actions only in this attribute
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
+    unset = object()
+    probe = argparse.Namespace(**{dest: unset for dest in actions})
+    parser.parse_args(argv[argv.index(args.command) + 1:], namespace=probe)
+    on_cli = {dest for dest in actions if getattr(probe, dest) is not unset}
     for key, raw in overrides.items():
         if key in on_cli:
             continue

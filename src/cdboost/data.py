@@ -1,11 +1,10 @@
 """Shared data model: dataset bundles, group structure, coefficient state.
 
 All fitting algorithms operate on a list of ``DatasetBundle`` objects that
-share the same covariates (p columns in identical order), a ``GroupStructure``
-partitioning the covariates into K non-overlapping groups, and a
-``CoefficientState`` that carries the p x M coefficient matrix together with
-the per-group partition of datasets into equality classes (the commonality
-bookkeeping).
+share the same covariates (p columns in identical order) and a
+``GroupStructure`` partitioning the covariates into K non-overlapping groups.
+A ``CoefficientState`` pairs a p x M coefficient matrix with the per-group
+partition of datasets into equality classes (the commonality bookkeeping).
 
 Equality classes are maintained structurally during fitting: datasets that
 receive identical joint increments keep exactly equal coefficient blocks, so
@@ -175,15 +174,6 @@ class CoefficientState:
     beta: np.ndarray
     partitions: list[Partition]
     iteration: int = 0
-
-    @classmethod
-    def initial(cls, p: int, M: int, K: int) -> "CoefficientState":
-        """All-zero coefficients; every group common across all datasets."""
-        return cls(
-            beta=np.zeros((p, M)),
-            partitions=[all_common_partition(M)] * K,
-            iteration=0,
-        )
 
 
 @dataclass

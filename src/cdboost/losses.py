@@ -1,4 +1,4 @@
-"""Per-dataset loss functions and closed-form componentwise increments.
+"""Per-dataset losses: Kaplan-Meier weights and the shared loss context.
 
 Two models are supported:
 
@@ -10,7 +10,8 @@ Two models are supported:
   coincide exactly.
 
 Both cases are handled uniformly through per-observation weights, so every
-increment below is a weighted least-squares solution for one covariate.
+increment of the boosting engine is a weighted least-squares solution for one
+covariate.
 """
 
 import warnings
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CoefficientState, DatasetBundle, ValidationError
+from .data import DatasetBundle, ValidationError
 
 
 @dataclass(frozen=True)
@@ -103,57 +104,3 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
         model=model, X=Xs, y=ys, weights=ws, col_norms=norms,
         n_obs=n_obs, n_events=n_events, penalty_factor=pf,
     )
-
-
-def weighted_loss(ctx: LossContext, beta_col: np.ndarray, m: int) -> float:
-    """L^m(beta) = (1/2) sum_i w_i (y_i - x_i'beta)^2."""
-    r = ctx.y[m] - ctx.X[m] @ beta_col
-    return 0.5 * float(ctx.weights[m] @ (r * r))
-
-
-def lr_loss(ctx: LossContext, beta_col: np.ndarray, m: int) -> float:
-    """Least-squares loss (1/(2n)) * RSS for dataset m."""
-    return weighted_loss(ctx, beta_col, m)
-
-
-def aft_loss(ctx: LossContext, beta_col: np.ndarray, m: int) -> float:
-    """Kaplan-Meier-weighted least-squares loss for dataset m."""
-    return weighted_loss(ctx, beta_col, m)
-
-
-def residuals(ctx: LossContext, beta_col: np.ndarray, m: int) -> np.ndarray:
-    return ctx.y[m] - ctx.X[m] @ beta_col
-
-
-def optimal_increment_single(ctx: LossContext, state: CoefficientState, s: int, m: int) -> float:
-    """Closed-form minimizer of L^m(beta^m + gamma * e_s) over gamma.
-
-    gamma = (sum_i w_i x_is r_i) / (sum_i w_i x_is^2) with the working
-    residual r = y - X beta^m. Degenerate columns yield 0.
-    """
-    denom = ctx.col_norms[m][s]
-    if denom == 0:
-        return 0.0
-    r = residuals(ctx, state.beta[:, m], m)
-    numer = float((ctx.weights[m] * ctx.X[m][:, s]) @ r)
-    return numer / denom
-
-
-def optimal_increment_joint(ctx: LossContext, state: CoefficientState, s: int, A) -> float:
-    """Minimizer of sum_{m in A} L^m(beta^m + gamma * e_s) over a shared gamma."""
-    num = 0.0
-    den = 0.0
-    for m in A:
-        den += ctx.col_norms[m][s]
-        if ctx.col_norms[m][s] == 0:
-            continue
-        r = residuals(ctx, state.beta[:, m], m)
-        num += float((ctx.weights[m] * ctx.X[m][:, s]) @ r)
-    if den == 0:
-        return 0.0
-    return num / den
-
-
-def sparsity_term(ctx: LossContext, m: int, beta_col: np.ndarray) -> float:
-    """(log n^m / n^m) times the number of nonzero coefficients."""
-    return ctx.penalty_factor[m] * int(np.count_nonzero(beta_col))

@@ -2,13 +2,17 @@
 
 Everything here is written from the definitions, in the most literal way
 possible (explicit loops, full recomputation), and must not import any
-fitting internals. Slow on purpose.
+fitting internals (``cdboost.boosting``, ``cdboost.losses``,
+``cdboost.tuning``). Slow on purpose.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from cdboost.data import CoefficientState, all_common_partition
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +87,159 @@ def km_jump_weights(y_sorted, delta_sorted):
 
 
 # ---------------------------------------------------------------------------
+# Losses and closed-form increments
+# ---------------------------------------------------------------------------
+#
+# ``ctx`` is a loss context: per-dataset lists ``X``, ``y``, ``weights``,
+# ``col_norms`` and ``penalty_factor``, rows already in the model's order.
+
+
+def weighted_loss(ctx, beta_col, m):
+    """L^m(beta) = (1/2) sum_i w_i (y_i - x_i'beta)^2."""
+    r = ctx.y[m] - ctx.X[m] @ beta_col
+    return 0.5 * float(ctx.weights[m] @ (r * r))
+
+
+def lr_loss(ctx, beta_col, m):
+    """Least-squares loss (1/(2n)) * RSS for dataset m."""
+    return weighted_loss(ctx, beta_col, m)
+
+
+def aft_loss(ctx, beta_col, m):
+    """Kaplan-Meier-weighted least-squares loss for dataset m."""
+    return weighted_loss(ctx, beta_col, m)
+
+
+def residuals(ctx, beta_col, m):
+    return ctx.y[m] - ctx.X[m] @ beta_col
+
+
+def optimal_increment_single(ctx, state, s, m):
+    """Closed-form minimizer of L^m(beta^m + gamma * e_s) over gamma.
+
+    gamma = (sum_i w_i x_is r_i) / (sum_i w_i x_is^2) with the working
+    residual r = y - X beta^m. Degenerate columns yield 0.
+    """
+    denom = ctx.col_norms[m][s]
+    if denom == 0:
+        return 0.0
+    r = residuals(ctx, state.beta[:, m], m)
+    numer = float((ctx.weights[m] * ctx.X[m][:, s]) @ r)
+    return numer / denom
+
+
+def optimal_increment_joint(ctx, state, s, A):
+    """Minimizer of sum_{m in A} L^m(beta^m + gamma * e_s) over a shared gamma."""
+    num = 0.0
+    den = 0.0
+    for m in A:
+        den += ctx.col_norms[m][s]
+        if ctx.col_norms[m][s] == 0:
+            continue
+        r = residuals(ctx, state.beta[:, m], m)
+        num += float((ctx.weights[m] * ctx.X[m][:, s]) @ r)
+    if den == 0:
+        return 0.0
+    return num / den
+
+
+def sparsity_term(ctx, m, beta_col):
+    """(log n^m / n^m) times the number of nonzero coefficients."""
+    return ctx.penalty_factor[m] * int(np.count_nonzero(beta_col))
+
+
+# ---------------------------------------------------------------------------
+# Commonality penalty and single candidates
+# ---------------------------------------------------------------------------
+
+
+def initial_state(p, M, K):
+    """All-zero coefficients; every group common across all datasets."""
+    return CoefficientState(beta=np.zeros((p, M)),
+                            partitions=[all_common_partition(M)] * K)
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One tentative update: covariate s, dataset subset A, shared increment."""
+
+    s: int
+    A: tuple
+    gamma: float
+
+
+def unequal_pairs(partition, M, mode):
+    """Counted dataset pairs (all pairs, or adjacent ones when ``ordered``)
+    whose datasets lie in different classes."""
+    where = {}
+    for ci, c in enumerate(partition):
+        for m in c:
+            where[m] = ci
+    if mode == "ordered":
+        return sum(1 for m in range(M - 1) if where[m] != where[m + 1])
+    return sum(
+        1 for m1, m2 in itertools.combinations(range(M), 2)
+        if where[m1] != where[m2]
+    )
+
+
+def split(partition, A):
+    """Split the class holding the datasets of A into A and the rest."""
+    out = []
+    sA = set(A)
+    for c in partition:
+        if sA and sA.issubset(set(c)) and len(c) > len(A):
+            rest = tuple(m for m in c if m not in sA)
+            out.extend([tuple(sorted(A)), rest])
+        else:
+            out.append(c)
+    return sorted((tuple(sorted(c)) for c in out), key=lambda c: c[0])
+
+
+def commonality_penalty(state, spec):
+    """lam * (differing (group, counted pair) blocks) / (counted blocks);
+    0 for a single dataset."""
+    M, K = spec.M, spec.K
+    if M <= 1:
+        return 0.0
+    normalizer = (M - 1) * K if spec.mode == "ordered" else M * (M - 1) // 2 * K
+    count = sum(unequal_pairs(pt, M, spec.mode) for pt in state.partitions)
+    return spec.lam * count / normalizer
+
+
+def candidate_set(ctx, state, groups, s):
+    """Every non-empty subset of every class of s's group, with its shared
+    increment."""
+    k = int(groups.assignment[s])
+    out = []
+    for cls in state.partitions[k]:
+        for size in range(len(cls), 0, -1):
+            for A in itertools.combinations(cls, size):
+                out.append(Candidate(s=s, A=A,
+                                     gamma=optimal_increment_joint(ctx, state, s, A)))
+    return out
+
+
+def cd_objective(ctx, state, groups, cand, spec):
+    """Full objective of one candidate, evaluated from scratch: losses plus
+    sparsity terms at the tentative (unscaled) update, plus the commonality
+    penalty at the tentatively split partition."""
+    beta = state.beta.copy()
+    for m in cand.A:
+        beta[cand.s, m] += cand.gamma
+    k = int(groups.assignment[cand.s])
+    parts = list(state.partitions)
+    cls = next(c for c in parts[k] if cand.A[0] in c)
+    if cand.gamma != 0 and len(cand.A) < len(cls):
+        parts[k] = split(parts[k], cand.A)
+    total = 0.0
+    for m in range(ctx.M):
+        total += weighted_loss(ctx, beta[:, m], m)
+        total += ctx.penalty_factor[m] * np.count_nonzero(beta[:, m])
+    return total + commonality_penalty(CoefficientState(beta=beta, partitions=parts), spec)
+
+
+# ---------------------------------------------------------------------------
 # Brute-force commonality/difference path
 # ---------------------------------------------------------------------------
 
@@ -109,18 +266,6 @@ def brute_cd_path(Xs, ys, ws, assignment, nu, T, lam, mode="all_pairs"):
     beta = np.zeros((p, M))
     parts = [[tuple(range(M))] for _ in range(K)]
 
-    def unequal_pairs(partition):
-        where = {}
-        for ci, c in enumerate(partition):
-            for m in c:
-                where[m] = ci
-        if mode == "ordered":
-            return sum(1 for m in range(M - 1) if where[m] != where[m + 1])
-        return sum(
-            1 for m1, m2 in itertools.combinations(range(M), 2)
-            if where[m1] != where[m2]
-        )
-
     def objective(beta_t, parts_t):
         total = 0.0
         for m in range(M):
@@ -128,20 +273,9 @@ def brute_cd_path(Xs, ys, ws, assignment, nu, T, lam, mode="all_pairs"):
             total += 0.5 * float(ws[m] @ (r * r))
             total += pf[m] * int(np.count_nonzero(beta_t[:, m]))
         if normalizer > 0:
-            pen = sum(unequal_pairs(pt) for pt in parts_t)
+            pen = sum(unequal_pairs(pt, M, mode) for pt in parts_t)
             total += lam * pen / normalizer
         return total
-
-    def split(partition, A):
-        out = []
-        sA = set(A)
-        for c in partition:
-            if sA and sA.issubset(set(c)) and len(c) > len(A):
-                rest = tuple(m for m in c if m not in sA)
-                out.extend([tuple(sorted(A)), rest])
-            else:
-                out.append(c)
-        return sorted((tuple(sorted(c)) for c in out), key=lambda c: c[0])
 
     records = []
     trace = []

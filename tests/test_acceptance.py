@@ -22,20 +22,13 @@ from cdboost.data import (
 )
 from cdboost.boosting import (
     PenaltySpec,
-    _cd_path,
+    _path,
     cd_sboost_fit,
-    commonality_penalty,
     fit as run_fit,
     pool_sboost_fit,
     sboost_fit,
 )
-from cdboost.losses import (
-    build_context,
-    km_weights,
-    optimal_increment_joint,
-    optimal_increment_single,
-    weighted_loss,
-)
+from cdboost.losses import build_context, km_weights
 from cdboost.metrics import (
     benchmark,
     ermse,
@@ -62,6 +55,7 @@ from oracles import (
     HAND_LOGRANK_TIME,
     HAND_LOGRANK_VALUE,
     brute_cd_path,
+    commonality_penalty,
     ermse_direct,
     golden_section,
     quadratic_vertex,
@@ -69,8 +63,11 @@ from oracles import (
     km_jump_weights,
     logrank_statistic,
     ooi_direct,
+    optimal_increment_joint,
+    optimal_increment_single,
     quad_form_direct,
     design_sigma_fn,
+    weighted_loss,
 )
 
 S1_FULL = SimDesign(M=3, n=200, p=1000, K=20, rho_f=0.8, rho_p=0.2, rho_n=0.0,
@@ -159,7 +156,10 @@ def test_criterion_1_oracle_equivalence():
         ctx = build_context(bundles, "lr")
         spec = PenaltySpec(lam=lam, M=2, K=2, mode=mode)
         init = [all_common_partition(2)] * 2
-        records, trace, _, _ = _cd_path(ctx, groups, config, spec, init, False)
+        path = _path(ctx, groups, config, spec, init, False)
+        records = [step for t in range(config.T) for step in path.steps(t)]
+        result = cd_sboost_fit(bundles, groups, config)
+        trace = result.objective_trace
         b_records, b_trace, b_beta, _ = brute_cd_path(
             [b.X for b in bundles], [b.y for b in bundles],
             [np.full(b.n, 1.0 / b.n) for b in bundles],
@@ -170,7 +170,6 @@ def test_criterion_1_oracle_equivalence():
             assert abs(g1 - g2) < 1e-10
         assert np.allclose(trace, b_trace, atol=1e-10)
         # the reported coefficients replay the brute records up to t_hat
-        result = cd_sboost_fit(bundles, groups, config)
         replay = np.zeros_like(b_beta)
         for s, A, g in b_records[:result.t_hat]:
             for m in A:

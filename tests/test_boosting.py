@@ -1,17 +1,19 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdboost
+import oracles
+from cdboost import boosting, losses
 from cdboost.boosting import (
-    Candidate,
     PenaltySpec,
-    _cd_path,
+    _path,
     _SubsetTasks,
     _sparsity_change,
-    candidate_set,
-    cd_objective,
     cd_sboost_fit,
-    commonality_penalty,
     fit,
     int_sboost_fit,
     pool_sboost_fit,
@@ -31,7 +33,15 @@ from cdboost.data import (
 from cdboost.losses import build_context
 
 from conftest import make_lr_bundles, make_aft_bundles, tiny_groups
-from oracles import brute_cd_path
+from oracles import (
+    Candidate,
+    brute_cd_path,
+    candidate_set,
+    cd_objective,
+    commonality_penalty,
+    initial_state,
+    km_jump_weights,
+)
 
 
 def strong_signal_bundle(rng, n=60, p=8, support=(1, 4)):
@@ -47,7 +57,7 @@ def strong_signal_bundle(rng, n=60, p=8, support=(1, 4)):
 
 def test_penalty_zero_when_all_common():
     spec = PenaltySpec(lam=2.0, M=3, K=4)
-    state = CoefficientState.initial(8, 3, 4)
+    state = initial_state(8, 3, 4)
     assert commonality_penalty(state, spec) == 0.0
 
 
@@ -100,7 +110,7 @@ def test_penalty_bounds_random_partitions(rng):
 
 def test_penalty_single_dataset_is_zero():
     spec = PenaltySpec(lam=5.0, M=1, K=2)
-    state = CoefficientState.initial(4, 1, 2)
+    state = initial_state(4, 1, 2)
     assert commonality_penalty(state, spec) == 0.0
 
 
@@ -126,7 +136,7 @@ def test_candidate_set_respects_partition(lr_problem):
 def test_cd_objective_matches_manual(lr_problem):
     bundles, groups = lr_problem
     ctx = build_context(bundles, "lr")
-    state = CoefficientState.initial(6, 3, 2)
+    state = initial_state(6, 3, 2)
     spec = PenaltySpec(lam=0.5, M=3, K=2)
     cand = Candidate(s=0, A=(0, 1), gamma=0.3)
     got = cd_objective(ctx, state, groups, cand, spec)
@@ -349,8 +359,9 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
         ctx = build_context(bundles, "lr")
         spec = PenaltySpec(lam=lam, M=M, K=2, mode=mode)
-        records, trace, _, _ = _cd_path(ctx, groups, config, spec,
-                                        [all_common_partition(M)] * 2, True)
+        path = _path(ctx, groups, config, spec, [all_common_partition(M)] * 2, True)
+        records = [step for t in range(config.T) for step in path.steps(t)]
+        trace = cd_sboost_fit(bundles, groups, config, verify_partitions=True).objective_trace
         b_records, b_trace, _, _ = brute_cd_path(
             [b.X for b in bundles], [b.y for b in bundles],
             [np.full(b.n, 1.0 / b.n) for b in bundles],
@@ -360,3 +371,131 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         for (_, _, g1), (_, _, g2) in zip(records, b_records):
             assert abs(g1 - g2) < 1e-10
         assert np.allclose(trace, b_trace, rtol=0.0, atol=1e-10)
+
+
+# single-dataset fitters against the literal oracle ----------------------------
+
+
+def _brute_inputs(bundles, model):
+    """Rows, responses and weights of the stacked bundles as the oracle wants
+    them: Kaplan-Meier jump weights over time-sorted rows for aft, 1/n for lr."""
+    X = np.vstack([b.X for b in bundles])
+    y = np.concatenate([b.y for b in bundles])
+    if model == "lr":
+        return X, y, np.full(y.size, 1.0 / y.size)
+    delta = np.concatenate([b.delta for b in bundles])
+    order = np.lexsort((1 - delta, y))
+    return X[order], y[order], km_jump_weights(y[order], delta[order])
+
+
+def _brute_single(bundles, groups, model, config):
+    X, y, w = _brute_inputs(bundles, model)
+    records, trace, _, _ = brute_cd_path([X], [y], [w], groups.assignment,
+                                         config.nu, config.T, 0.0)
+    return records, trace
+
+
+def _replay_records(records, nu, p, t_stop):
+    beta = np.zeros(p)
+    for s, _, g in records[:t_stop]:
+        beta[s] += nu * g
+    return beta
+
+
+@pytest.mark.parametrize("model, seed, T", [("lr", 10, 17), ("aft", 2, 15)])
+def test_single_dataset_fitters_match_brute_force(model, seed, T, monkeypatch):
+    """sboost, sep and int against the oracle run per dataset with M=1, pool
+    against it on the stacked rows: the same (s, A) sequence, increments and
+    traces to 1e-10, and t_hat and coefficients by each fitter's stopping
+    rule.  Seed and T are such that the datasets stop at different
+    iterations and the summed trace elsewhere than at the latest of them,
+    so the stopping rules are told apart."""
+    make = make_lr_bundles if model == "lr" else make_aft_bundles
+    bundles = [b if m == 0 else DatasetBundle(X=b.X[: 25 + 6 * m], y=b.y[: 25 + 6 * m],
+                                              delta=None if b.delta is None
+                                              else b.delta[: 25 + 6 * m], id=m)
+               for m, b in enumerate(make(np.random.default_rng(seed), M=3, n=40, p=6))]
+    groups = tiny_groups(6, 2)
+    config = BoostConfig(T=T, lam=0.4, model=model)
+    paths = []
+    real_path = boosting._path
+
+    def recording_path(*args, **kwargs):
+        paths.append(real_path(*args, **kwargs))
+        return paths[-1]
+
+    monkeypatch.setattr(boosting, "_path", recording_path)
+
+    def check_steps(path, m, records):
+        got = [next((s, g) for s, A, g in path.steps(t) if A == (m,))
+               for t in range(config.T)]
+        assert [s for s, _ in got] == [s for s, A, _ in records]
+        assert all(A == (0,) for _, A, _ in records)
+        for (_, g1), (_, _, g2) in zip(got, records):
+            assert abs(g1 - g2) < 1e-10
+
+    brute = [_brute_single([b], groups, model, config) for b in bundles]
+    stops = [int(np.argmin(trace)) + 1 for _, trace in brute]
+
+    for m, (records, trace) in enumerate(brute):
+        res = sboost_fit(bundles[m], groups, config)
+        check_steps(paths[-1], 0, records)
+        assert np.allclose(res.objective_trace, trace, rtol=0.0, atol=1e-10)
+        assert res.t_hat == stops[m]
+        assert np.allclose(res.beta_hat[:, 0],
+                           _replay_records(records, config.nu, 6, stops[m]),
+                           rtol=0.0, atol=1e-12)
+
+    summed = np.sum([trace for _, trace in brute], axis=0)
+    shared = int(np.argmin(summed)) + 1
+    assert len(set(stops)) > 1 and shared != max(stops)
+    for fitter, t_stop, t_hat in ((sep_sboost_fit, stops, max(stops)),
+                                  (int_sboost_fit, [shared] * 3, shared)):
+        res = fitter(bundles, groups, config)
+        for m, (records, _) in enumerate(brute):
+            check_steps(paths[-1], m, records)
+            assert np.allclose(res.beta_hat[:, m],
+                               _replay_records(records, config.nu, 6, t_stop[m]),
+                               rtol=0.0, atol=1e-12)
+        assert np.allclose(res.objective_trace, summed, rtol=0.0, atol=1e-10)
+        assert res.t_hat == t_hat
+
+    records, trace = _brute_single(bundles, groups, model, config)
+    res = pool_sboost_fit(bundles, groups, config)
+    check_steps(paths[-1], 0, records)
+    assert np.allclose(res.objective_trace, trace, rtol=0.0, atol=1e-10)
+    assert res.t_hat == int(np.argmin(trace)) + 1
+    want = _replay_records(records, config.nu, 6, res.t_hat)
+    for m in range(3):
+        assert np.allclose(res.beta_hat[:, m], want, rtol=0.0, atol=1e-12)
+
+
+def test_oracles_import_no_fitting_internals():
+    """The reference code stays independent of what it checks: it imports
+    nothing from the fitting modules and uses none of their helpers."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    forbidden = {"cdboost.boosting", "cdboost.losses", "cdboost.tuning"}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in oracles"
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not {name for name in imported
+                if any(name == f or name.startswith(f + ".") for f in forbidden)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & {"_class_containing", "_nonempty_subsets"}
+
+
+def test_reference_code_not_in_package():
+    moved = ("Candidate", "candidate_set", "cd_objective", "commonality_penalty",
+             "weighted_loss", "lr_loss", "aft_loss", "residuals",
+             "optimal_increment_single", "optimal_increment_joint", "sparsity_term")
+    for name in moved:
+        assert name not in cdboost.__all__
+        assert not hasattr(cdboost, name)
+        assert not hasattr(boosting, name) and not hasattr(losses, name)
+    assert not hasattr(CoefficientState, "initial")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdboost.cli import main
+from cdboost.cli import _merge_config, build_parser, main
 from cdboost.data import GroupStructure, write_dataset_csv, write_groups_tsv
 
 from conftest import make_lr_bundles
@@ -363,3 +363,21 @@ def test_workers_env_default(monkeypatch):
     args = build_parser().parse_args(
         ["benchmark", "--seed", "1", "--replicates", "1"])
     assert args.workers == 1
+
+
+@pytest.mark.parametrize("flags, key, want", [
+    (["--iter", "5"], "iters", 5),
+    (["--iter=5"], "iters", 5),
+    (["--lamb", "2"], "lam", "2"),
+    (["--lamb=2"], "lam", "2"),
+    (["--no-v"], "no_verify", True),
+])
+def test_abbreviated_flag_beats_config(tmp_path, flags, key, want):
+    """A unique prefix of a flag, with or without '=', counts as given, so
+    the config file does not override it."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("iters = 37\nlambda = 3\nno_verify = no\n")
+    argv = ["benchmark", "--seed", "1", "--config", str(cfg), *flags]
+    args = build_parser().parse_args(argv)
+    _merge_config(args, argv, args.subparser)
+    assert getattr(args, key) == want

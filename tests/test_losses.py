@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from cdboost.data import CoefficientState, DatasetBundle, ValidationError, standardize_columns
-from cdboost.losses import (
+from cdboost.losses import build_context, km_weights
+
+from conftest import make_aft_bundles, make_lr_bundles, tiny_groups
+from oracles import (
     aft_loss,
-    build_context,
-    km_weights,
+    bracket_minimum,
+    golden_section,
+    km_jump_weights,
     lr_loss,
     optimal_increment_joint,
     optimal_increment_single,
+    quadratic_vertex,
     sparsity_term,
     weighted_loss,
 )
-
-from conftest import make_aft_bundles, make_lr_bundles, tiny_groups
-from oracles import golden_section, bracket_minimum, km_jump_weights, quadratic_vertex
 
 
 def test_km_weights_no_censoring_uniform():
