@@ -1,134 +1,9 @@
-"""Sparse boosting over multiple datasets with commonality detection."""
+"""Sparse boosting over multiple datasets with commonality detection.
 
-from .data import (
-    ALGORITHMS,
-    MODELS,
-    BoostConfig,
-    CoefficientState,
-    DatasetBundle,
-    FitResult,
-    GroupStructure,
-    NumericError,
-    ParseError,
-    ValidationError,
-    all_common_partition,
-    canonical_partition,
-    load_bundles,
-    load_dataset_csv,
-    partition_refresh,
-    read_dataset_csv,
-    read_groups_tsv,
-    singleton_partitions,
-    split_class,
-    standardize_columns,
-    validate,
-    write_dataset_csv,
-    write_groups_tsv,
-)
-from .losses import (
-    LossContext,
-    build_context,
-    km_weights,
-)
-from .boosting import (
-    PenaltySpec,
-    cd_sboost_fit,
-    fit,
-    int_sboost_fit,
-    pool_sboost_fit,
-    sboost_fit,
-    sep_sboost_fit,
-)
-from .tuning import LambdaGrid, default_lambda_grid, hdbic, select_lambda
-from .simulate import (
-    CalibrationError,
-    GroundTruth,
-    SimDesign,
-    gen_covariates,
-    gen_responses,
-    gen_small_example,
-    gen_truth,
-    group_sizes,
-    scenario_counts,
-    simulate_replicate,
-    small_example_design,
-    true_covariance,
-    write_simulation,
-)
-from .metrics import (
-    MetricReport,
-    benchmark,
-    ermse,
-    group_tp_fp,
-    logrank_score,
-    ooi,
-    prmse_aft,
-    prmse_lr,
-    stability,
-    variable_tp_fp,
-)
+The API lives in the submodules: ``cdboost.data`` (bundles, groups, file
+formats), ``cdboost.boosting`` (the fitters), ``cdboost.tuning`` (HDBIC and
+the lambda search), ``cdboost.simulate``, ``cdboost.metrics`` (scores, the
+benchmark and stability harnesses) and ``cdboost.cli``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "MODELS",
-    "BoostConfig",
-    "CalibrationError",
-    "CoefficientState",
-    "DatasetBundle",
-    "FitResult",
-    "GroundTruth",
-    "GroupStructure",
-    "LambdaGrid",
-    "LossContext",
-    "MetricReport",
-    "NumericError",
-    "ParseError",
-    "PenaltySpec",
-    "SimDesign",
-    "ValidationError",
-    "all_common_partition",
-    "benchmark",
-    "build_context",
-    "canonical_partition",
-    "cd_sboost_fit",
-    "default_lambda_grid",
-    "ermse",
-    "fit",
-    "gen_covariates",
-    "gen_responses",
-    "gen_small_example",
-    "gen_truth",
-    "group_sizes",
-    "group_tp_fp",
-    "hdbic",
-    "int_sboost_fit",
-    "km_weights",
-    "load_bundles",
-    "load_dataset_csv",
-    "logrank_score",
-    "ooi",
-    "partition_refresh",
-    "pool_sboost_fit",
-    "prmse_aft",
-    "prmse_lr",
-    "read_dataset_csv",
-    "read_groups_tsv",
-    "sboost_fit",
-    "scenario_counts",
-    "select_lambda",
-    "sep_sboost_fit",
-    "simulate_replicate",
-    "singleton_partitions",
-    "small_example_design",
-    "split_class",
-    "stability",
-    "standardize_columns",
-    "true_covariance",
-    "validate",
-    "variable_tp_fp",
-    "write_dataset_csv",
-    "write_groups_tsv",
-    "write_simulation",
-]

@@ -44,6 +44,7 @@ from .data import (
     all_common_partition,
     block_partition,
     canonical_partition,
+    partition_meet,
     partition_refresh,
     singleton_partitions,
     split_class,
@@ -278,8 +279,9 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 numer[m] = ctx.X[m].T @ (ctx.weights[m] * resid[m])
             # only group k_hat changed; untouched groups agree by induction,
             # and the full state is re-checked after the loop
-            if verify_partitions and \
-                    block_partition(coef[:, group_idx[k_hat]].T) != parts[k_hat]:
+            if verify_partitions and parts[k_hat] != partition_meet(
+                    initial_partitions[k_hat],
+                    block_partition(coef[:, group_idx[k_hat]].T)):
                 raise AssertionError(
                     f"iteration {t + 1}: tracked partition of group {k_hat} "
                     f"diverged from element-wise comparison"
@@ -292,7 +294,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
 
     if verify_partitions:
         refreshed = partition_refresh(CoefficientState(beta=coef.T, partitions=parts), groups)
-        if refreshed.partitions != parts:
+        if list(map(partition_meet, initial_partitions, refreshed.partitions)) != parts:
             raise AssertionError(
                 "final state: tracked partitions diverged from element-wise "
                 "comparison"
@@ -414,8 +416,9 @@ def cd_sboost_fit(
     reduces exactly to ``sboost_fit``.
 
     ``initial_partitions`` overrides the all-common starting classes (used
-    in tests); ``verify_partitions`` cross-checks the tracked classes
-    against element-wise comparison at every iteration.
+    in tests); ``verify_partitions`` cross-checks the tracked classes at
+    every iteration against their expected value, the common refinement of
+    the starting classes and element-wise block comparison.
     """
     bundles = list(bundles)
     prob = validate(bundles, groups, config.model)

@@ -12,8 +12,12 @@ no floating-point comparison is ever needed on the hot path.
 ``partition_refresh`` recomputes the classes from element-wise comparison and
 is used in tests to cross-check the incremental bookkeeping.  Every exact
 block comparison in the package goes through ``equal_columns``.
+
+``_run_in_order`` is the one place where independent jobs (grid values,
+benchmark replicates, stability splits) fan out to worker processes.
 """
 
+import concurrent.futures
 import csv
 import math
 from dataclasses import dataclass, field
@@ -331,6 +335,21 @@ def block_partition(block: np.ndarray) -> Partition:
     return tuple(tuple(c) for c in classes.values())
 
 
+def partition_meet(a: Partition, b: Partition) -> Partition:
+    """Common refinement of two partitions of the same datasets, canonical.
+
+    Two datasets share a class of the result when they share one in both.
+    """
+    if len(a) == 1:
+        return b
+    label = {m: i for i, c in enumerate(a) for m in c}
+    classes: dict[tuple[int, int], list[int]] = {}
+    for j, c in enumerate(b):
+        for m in c:
+            classes.setdefault((label[m], j), []).append(m)
+    return canonical_partition(classes.values())
+
+
 def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tuple[bool, ...], ...]:
     """Per group, exact block equality of each adjacent dataset pair (m, m+1)."""
     out = []
@@ -347,6 +366,20 @@ def partition_refresh(state: CoefficientState, groups: GroupStructure) -> Coeffi
     """
     parts = [block_partition(state.beta[groups.indices(k), :]) for k in range(groups.K)]
     return CoefficientState(beta=state.beta, partitions=parts, iteration=state.iteration)
+
+
+def _run_in_order(fn, jobs, workers: int = 1):
+    """Yield ``fn(job)`` for every job, in job order.
+
+    With ``workers > 1`` and more than one job the calls run in a process
+    pool; closing the generator early cancels the jobs not yet handed to a
+    worker.  An exception raised by ``fn`` propagates either way.
+    """
+    if workers <= 1 or len(jobs) <= 1:
+        yield from map(fn, jobs)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,10 @@ can contribute 2 positives, a partially common one 1, matching the intended
 totals (a pooled fit always produces exactly K*(M-1) positives).
 """
 
-import concurrent.futures
 import math
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .data import (
     GroupStructure,
     NumericError,
     ValidationError,
+    _run_in_order,
     adjacent_equal_pairs,
 )
 from .boosting import fit as run_fit
@@ -233,9 +233,7 @@ class MetricReport:
 def _fit_method(method, bundles, groups, config, tune, verify):
     """One method on one replicate; returns (FitResult, lambda used)."""
     algo = canonical_method(method)
-    cfg = BoostConfig(nu=config.nu, T=config.T, lam=config.lam,
-                      algorithm=algo, model=config.model,
-                      penalty_mode=config.penalty_mode)
+    cfg = replace(config, algorithm=algo)
     if algo == "cd_sboost":
         if tune:
             lam, result = select_lambda(bundles, groups, cfg,
@@ -284,6 +282,14 @@ def _benchmark_replicate(args):
     return rows
 
 
+def _replicate_or_failure(args):
+    """A replicate's rows, or the text of the exception that ended it."""
+    try:
+        return _benchmark_replicate(args)
+    except Exception as exc:  # recorded, not fatal
+        return f"replicate {args[2]}: {exc}"
+
+
 def benchmark(
     design: SimDesign,
     methods,
@@ -298,8 +304,10 @@ def benchmark(
     ``tune`` selects the cd_sboost penalty weight per replicate by HDBIC
     grid search.  ``verify`` cross-checks tracked equality classes against
     element-wise comparison inside every cd fit.  Per-replicate failures are
-    recorded in the report, not raised.  Results are identical for any
-    worker count (replicate-indexed streams, ordered aggregation).
+    recorded in the report, not raised.  Replicates run in order on
+    ``workers`` processes, and each cd grid search stops at its first
+    split-free lambda (see ``select_lambda``); results are identical for
+    any worker count (replicate-indexed streams, ordered aggregation).
     """
     methods = tuple(methods)
     if replicates < 1:
@@ -313,30 +321,11 @@ def benchmark(
         raise ValidationError("config model differs from design model")
     jobs = [(design, methods, r, config, tune, verify) for r in range(replicates)]
     report = MetricReport(design=design, methods=methods, replicates=replicates)
-    # both stored by replicate index, so the report is independent of the
-    # order in which parallel replicates finish
-    results: list[list[ReplicateMetrics] | None] = [None] * replicates
-    failures: list[str | None] = [None] * replicates
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_benchmark_replicate, job): r
-                       for r, job in enumerate(jobs)}
-            for fut in concurrent.futures.as_completed(futures):
-                r = futures[fut]
-                try:
-                    results[r] = fut.result()
-                except Exception as exc:  # recorded, not fatal
-                    failures[r] = f"replicate {r}: {exc}"
-    else:
-        for r, job in enumerate(jobs):
-            try:
-                results[r] = _benchmark_replicate(job)
-            except Exception as exc:
-                failures[r] = f"replicate {r}: {exc}"
-    for rows in results:
-        if rows:
-            report.rows.extend(rows)
-    report.failures.extend(f for f in failures if f is not None)
+    for out in _run_in_order(_replicate_or_failure, jobs, workers):
+        if isinstance(out, str):
+            report.failures.append(out)
+        else:
+            report.rows.extend(out)
     return report
 
 
@@ -408,11 +397,7 @@ def stability(
     if n_splits < 2:
         raise ValidationError("need at least 2 splits")
     jobs = [(bundles, groups, config, methods, seed, s, tune) for s in range(n_splits)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_split = list(pool.map(_stability_split, jobs))
-    else:
-        per_split = [_stability_split(j) for j in jobs]
+    per_split = list(_run_in_order(_stability_split, jobs, workers))
     report = {}
     for method in methods:
         selections = [ps[method][0] for ps in per_split]

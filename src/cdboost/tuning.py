@@ -8,10 +8,9 @@ n by the event count; for fully uncensored data this reduces to the plain
 formula.  A lower score is better.
 """
 
-import concurrent.futures
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .data import (
     GroupStructure,
     NumericError,
     ValidationError,
+    _run_in_order,
     all_common_partition,
 )
 from .losses import build_context
@@ -98,10 +98,7 @@ def _fit_and_score(args):
     lam, bundles, groups, config, fit_kwargs = args
     from .boosting import cd_sboost_fit
 
-    cfg = BoostConfig(
-        nu=config.nu, T=config.T, lam=lam, algorithm="cd_sboost",
-        model=config.model, penalty_mode=config.penalty_mode,
-    )
+    cfg = replace(config, lam=lam, algorithm="cd_sboost")
     fit = cd_sboost_fit(bundles, groups, cfg, **fit_kwargs)
     return hdbic(fit, bundles), fit
 
@@ -118,10 +115,12 @@ def select_lambda(
 
     Ties (including duplicate grid values) resolve to the smaller lambda.
     The grid object, when supplied, is filled with per-value scores and
-    fits. Fits may run in parallel; the winner is identical either way.
+    fits.  Fits run in grid order on ``workers`` processes; the grid and
+    the winner are identical for any worker count.
 
-    The serial search stops fitting at the first grid value whose cd path
-    leaves every group's partition a single class through iteration T; each
+    The search stops fitting at the first grid value whose cd path leaves
+    every group's partition a single class through iteration T (with more
+    than one worker, fits not yet handed to a worker are cancelled); each
     later grid value reuses that (score, fit) pair, the same objects, so
     ``grid.fits[j] is grid.fits[i]``.  This is exact.  Lambda enters the
     path only through the split cost ``lam / normalizer * pairs`` added to
@@ -137,17 +136,15 @@ def select_lambda(
     if grid is None:
         grid = default_lambda_grid(bundles)
     jobs = [(lam, bundles, groups, config, fit_kwargs) for lam in grid.values]
-    if workers > 1 and len(jobs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_and_score, jobs))
-    else:
-        whole = [all_common_partition(len(bundles))] * groups.K
-        results = []
-        for job in jobs:
-            if results and results[-1][1].final_partitions == whole:
-                results.append(results[-1])
-            else:
-                results.append(_fit_and_score(job))
+    whole = [all_common_partition(len(bundles))] * groups.K
+    results = []
+    runs = _run_in_order(_fit_and_score, jobs, workers)
+    for result in runs:
+        results.append(result)
+        if result[1].final_partitions == whole:
+            break
+    runs.close()
+    results += [results[-1]] * (len(jobs) - len(results))
     grid.scores = [score for score, _ in results]
     grid.fits = [fit for _, fit in results]
     best = None

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import cdboost as cb
 from cdboost.data import (
     BoostConfig,
     DatasetBundle,

@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -406,6 +407,23 @@ def test_stability_smoke(rng):
         assert stats["splits"] == 6
         assert stats["degenerate_splits"] == 0
         assert np.isfinite(stats["score_mean"])
+
+
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_stability_workers_agree(rng, model):
+    # tuned cd fits exercise the lambda search inside each worker
+    make = make_lr_bundles if model == "lr" else make_aft_bundles
+    bundles = make(rng, M=2, n=32, p=6)
+    groups = tiny_groups(6, 2)
+    config = BoostConfig(T=40, algorithm="cd_sboost", model=model)
+    reports = []
+    for workers in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = stability(bundles, groups, config, ("cd", "sep"), n_splits=4,
+                               seed=5, tune=True, workers=workers)
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
 
 
 def test_stability_needs_splits(rng):

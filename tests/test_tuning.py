@@ -174,8 +174,7 @@ def test_select_lambda_fills_grid(lr_problem):
 
 
 def test_select_lambda_workers_agree(lr_problem):
-    # the serial search reuses the split-free fit at 1.0 for 10.0; the
-    # parallel one fits every value
+    # both searches stop at the split-free fit at 1.0 and reuse it for 10.0
     bundles, groups = lr_problem
     config = BoostConfig(T=25, algorithm="cd_sboost")
     grid = LambdaGrid(values=(0.0, 1.0, 10.0))
@@ -183,6 +182,7 @@ def test_select_lambda_workers_agree(lr_problem):
     parallel = LambdaGrid(values=(0.0, 1.0, 10.0))
     lam2, fit2 = select_lambda(bundles, groups, config, grid=parallel, workers=2)
     assert grid.fits[2] is grid.fits[1]
+    assert parallel.fits[2] is parallel.fits[1]
     assert lam1 == lam2
     assert np.array_equal(fit1.beta_hat, fit2.beta_hat)
     assert _score_bytes(grid.scores) == _score_bytes(parallel.scores)
@@ -234,8 +234,7 @@ def test_select_lambda_reuse_is_bit_identical(M, mode, model, mixed, values, see
             for labels in rng.integers(0, 2, size=(3, M))]
     config = BoostConfig(T=15, algorithm="cd_sboost", model=model, penalty_mode=mode)
     grid = LambdaGrid(values=tuple(sorted(values)))
-    # element-wise checks hold only from the all-common start
-    kwargs = dict(initial_partitions=init, verify_partitions=not mixed)
+    kwargs = dict(initial_partitions=init, verify_partitions=True)
     lam, fit = select_lambda(bundles, groups, config, grid=grid, **kwargs)
     fresh = _fresh_grid(bundles, groups, config, grid.values, **kwargs)
     assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
