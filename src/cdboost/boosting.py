@@ -29,7 +29,7 @@ lexicographically smallest subset.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,7 @@ from .data import (
     FitResult,
     GroupStructure,
     Partition,
+    ValidationError,
     all_common_partition,
     block_partition,
     canonical_partition,
@@ -51,35 +52,6 @@ from .data import (
     validate,
 )
 from .losses import LossContext, build_context
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Commonality penalty parameters.
-
-    The penalty is lam times the fraction of (group, dataset-pair) blocks
-    that differ, pairs being all unordered pairs (``all_pairs``) or the
-    adjacent pairs of a naturally ordered dataset sequence (``ordered``).
-    It therefore lies in [0, lam]: 0 when every group behaves the same in
-    all datasets, lam when every group differs in every counted pair.
-    """
-
-    lam: float
-    M: int
-    K: int
-    mode: str = "all_pairs"
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.mode not in ("all_pairs", "ordered"):
-            raise ValueError(f"unknown penalty mode {self.mode!r}")
-
-    @property
-    def normalizer(self) -> int:
-        if self.mode == "ordered":
-            return (self.M - 1) * self.K
-        return self.M * (self.M - 1) // 2 * self.K
 
 
 def _unequal_pairs(partition: Partition, M: int, mode: str) -> int:
@@ -202,8 +174,7 @@ class _Path(NamedTuple):
 
 
 def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
-          spec: PenaltySpec, initial_partitions, verify_partitions=False,
-          every_subset=False) -> _Path:
+          initial_partitions, verify_partitions=False, every_subset=False) -> _Path:
     """Greedy boosting path over all T iterations.
 
     Each iteration scores every candidate (covariate, subset) pair.  By
@@ -212,24 +183,25 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     only with singleton classes, which never split, where it runs M
     independent single-dataset paths in lockstep.  Each candidate subset lies
     inside one equality class of its covariate's group, which is what makes
-    the per-subset sparsity term of ``_SubsetTasks`` exact.
+    the per-subset sparsity term of ``_SubsetTasks`` exact.  The penalty
+    counts all dataset pairs, or the adjacent ones under ``ordered``.
     """
     M, p, K = ctx.M, ctx.p, groups.K
-    nu, T = config.nu, config.T
+    nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
     assignment = groups.assignment
     pf = np.asarray(ctx.penalty_factor)
     col_norms = np.vstack(ctx.col_norms)
-    normalizer = spec.normalizer
-    pen_scale = spec.lam / normalizer if normalizer > 0 else 0.0
+    normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
+    pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
     parts: list[Partition] = list(initial_partitions)
-    unequal = sum(_unequal_pairs(pt, M, spec.mode) for pt in parts)
+    unequal = sum(_unequal_pairs(pt, M, mode) for pt in parts)
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
     nnz = [0] * M                    # running nonzero count per dataset
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
 
-    tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode, pen_scale)
+    tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, mode, pen_scale)
     R = len(tasks.subsets) if every_subset else 1
     subsets = []
     rows = np.empty((T, R), dtype=np.int64)
@@ -266,10 +238,9 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             k_hat = int(assignment[s_hat])
             cls = _class_containing(parts[k_hat], A_hat)
             if g_hat != 0.0 and len(A_hat) < len(cls):
-                unequal += _split_delta(cls, A_hat, spec.mode)
+                unequal += _split_delta(cls, A_hat, mode)
                 parts[k_hat] = split_class(parts[k_hat], A_hat)
-                tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, spec.mode,
-                                     pen_scale)
+                tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, mode, pen_scale)
             step = nu * g_hat
             for m in A_hat:
                 was_nonzero = coef[m, s_hat] != 0
@@ -290,7 +261,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         for m in range(M):
             loss[m, t] = 0.5 * float(ctx.weights[m] @ (resid[m] * resid[m]))
             sparsity[m, t] = pf[m] * nnz[m]
-        penalty[t] = spec.lam * unequal / normalizer if normalizer > 0 else 0.0
+        penalty[t] = lam * unequal / normalizer if normalizer > 0 else 0.0
 
     if verify_partitions:
         refreshed = partition_refresh(CoefficientState(beta=coef.T, partitions=parts), groups)
@@ -333,11 +304,11 @@ def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
     sparsity term) or, with ``shared_stop``, all at that of the summed trace.
     Partitions are computed afterward by exact block comparison.
     """
-    prob = validate(bundles, groups, config.model)
-    ctx = build_context(prob.bundles, config.model)
-    spec = PenaltySpec(lam=0.0, M=ctx.M, K=groups.K, mode=config.penalty_mode)
+    bundles = list(bundles)
+    validate(bundles, groups, config.model)
+    ctx = build_context(bundles, config.model)
     singles = singleton_partitions(ctx.M, groups.K)
-    path = _path(ctx, groups, config, spec, singles, every_subset=True)
+    path = _path(ctx, groups, replace(config, lam=0.0), singles, every_subset=True)
     objective = path.loss + path.sparsity
     total = np.sum(objective, axis=0)
     if shared_stop:
@@ -402,7 +373,6 @@ def cd_sboost_fit(
     bundles,
     groups: GroupStructure,
     config: BoostConfig,
-    spec: PenaltySpec | None = None,
     initial_partitions: list[Partition] | None = None,
     verify_partitions: bool = False,
 ) -> FitResult:
@@ -421,16 +391,14 @@ def cd_sboost_fit(
     the starting classes and element-wise block comparison.
     """
     bundles = list(bundles)
-    prob = validate(bundles, groups, config.model)
-    ctx = build_context(prob.bundles, config.model)
+    validate(bundles, groups, config.model)
+    ctx = build_context(bundles, config.model)
     M = ctx.M
-    if spec is None:
-        spec = PenaltySpec(lam=config.lam, M=M, K=groups.K, mode=config.penalty_mode)
     if initial_partitions is None:
         initial_partitions = [all_common_partition(M)] * groups.K
     else:
         initial_partitions = [canonical_partition(pt) for pt in initial_partitions]
-    path = _path(ctx, groups, config, spec, initial_partitions, verify_partitions)
+    path = _path(ctx, groups, config, initial_partitions, verify_partitions)
     loss = sum(path.loss)
     trace = loss + sum(path.sparsity) + path.penalty
     t_hat = _first_argmin(trace)
@@ -440,8 +408,14 @@ def cd_sboost_fit(
                      loss_trace=loss, final_partitions=path.partitions)
 
 
+def _single_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
+    if len(bundles) > 1:
+        raise ValidationError("sboost takes a single dataset; use sep-sboost")
+    return sep_sboost_fit(bundles, groups, config)
+
+
 _FITTERS = {
-    "sboost": lambda bundles, groups, config: sboost_fit(bundles[0], groups, config),
+    "sboost": _single_sboost_fit,
     "sep_sboost": sep_sboost_fit,
     "int_sboost": int_sboost_fit,
     "pool_sboost": pool_sboost_fit,
@@ -450,8 +424,6 @@ _FITTERS = {
 
 
 def fit(bundles, groups: GroupStructure, config: BoostConfig, **kwargs) -> FitResult:
-    """Dispatch to the algorithm named in the config."""
-    fitter = _FITTERS[config.algorithm]
-    if config.algorithm == "cd_sboost":
-        return fitter(bundles, groups, config, **kwargs)
-    return fitter(list(bundles), groups, config)
+    """Dispatch to the algorithm named in the config; keyword arguments go to
+    that fitter (only ``cd_sboost_fit`` takes any)."""
+    return _FITTERS[config.algorithm](list(bundles), groups, config, **kwargs)

@@ -92,17 +92,21 @@ def _emit(payload: dict, schema_name: str, path: str | None):
 
 
 def _read_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            out[_KEY_ALIASES.get(key, key)] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        out[_KEY_ALIASES.get(key, key)] = value.strip()
     return out
 
 
@@ -175,10 +179,30 @@ def _parse_lambda_grid(text: str) -> LambdaGrid:
     return LambdaGrid(values=tuple(values))
 
 
-def _infer_model(args, bundles) -> str:
-    if args.model != "auto":
-        return args.model
-    return "aft" if bundles[0].delta is not None else "lr"
+def _boost_config(args, algorithm: str, model: str) -> BoostConfig:
+    """The fit settings given by --nu, --iters, --lambda and --penalty-mode;
+    lambda is 0.0 under ``auto`` until a grid search picks it."""
+    lam = 0.0 if args.lam == "auto" else _parse_lambda(args.lam)
+    return BoostConfig(nu=args.nu, T=args.iters, lam=lam, algorithm=algorithm,
+                       model=model, penalty_mode=args.penalty_mode)
+
+
+def _load_problem(args):
+    """Datasets, groups and model named by --data, --groups and --model; the
+    model ``auto`` is AFT when the files carry event indicators."""
+    bundles, names = load_bundles(args.data, standardize=not args.no_standardize)
+    groups = read_groups_tsv(args.groups, names)
+    model = args.model
+    if model == "auto":
+        model = "aft" if bundles[0].delta is not None else "lr"
+    return bundles, groups, model
+
+
+def _methods(args) -> list[str]:
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValidationError("no methods given")
+    return methods
 
 
 def _design_from_args(args) -> SimDesign:
@@ -207,18 +231,11 @@ def _design_from_args(args) -> SimDesign:
 
 
 def cmd_fit(args) -> int:
-    bundles, names = load_bundles(args.data, standardize=not args.no_standardize)
-    groups = read_groups_tsv(args.groups, names)
-    model = _infer_model(args, bundles)
+    bundles, groups, model = _load_problem(args)
     method = canonical_method(args.method)
-    if method == "sboost" and len(bundles) > 1:
-        raise ValidationError("sboost takes a single dataset; use sep-sboost")
-
-    auto = args.lam == "auto"
-    lam = 0.0 if auto else _parse_lambda(args.lam)
-    config = BoostConfig(nu=args.nu, T=args.iters, lam=lam, algorithm=method,
-                         model=model, penalty_mode=args.penalty_mode)
-    if auto and method == "cd_sboost":
+    config = _boost_config(args, method, model)
+    lam = config.lam
+    if args.lam == "auto" and method == "cd_sboost":
         grid = _parse_lambda_grid(args.grid) if args.grid else default_lambda_grid(bundles)
         lam, result = select_lambda(bundles, groups, config, grid=grid,
                                     workers=args.workers)
@@ -266,18 +283,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     design = _design_from_args(args)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ValidationError("no methods given")
+    methods = _methods(args)
     for m in methods:
         canonical_method(m)
-    auto = args.lam == "auto"
-    config = BoostConfig(nu=args.nu, T=args.iters,
-                         lam=0.0 if auto else _parse_lambda(args.lam),
-                         algorithm="cd_sboost", model=design.model,
-                         penalty_mode=args.penalty_mode)
+    config = _boost_config(args, "cd_sboost", design.model)
     report = benchmark(design, methods, args.replicates, config=config,
-                       tune=auto, workers=args.workers, verify=not args.no_verify)
+                       tune=args.lam == "auto", workers=args.workers, verify=not args.no_verify)
     _emit(report.to_json(), "benchmark_report.schema.json", args.output)
     table = report.to_table()
     if args.table:
@@ -289,20 +300,12 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    bundles, names = load_bundles(args.data, standardize=not args.no_standardize)
-    groups = read_groups_tsv(args.groups, names)
-    model = _infer_model(args, bundles)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ValidationError("no methods given")
-    auto = args.lam == "auto"
-    config = BoostConfig(nu=args.nu, T=args.iters,
-                         lam=0.0 if auto else _parse_lambda(args.lam),
-                         algorithm="cd_sboost", model=model,
-                         penalty_mode=args.penalty_mode)
+    bundles, groups, model = _load_problem(args)
+    methods = _methods(args)
+    config = _boost_config(args, "cd_sboost", model)
     results = stability(bundles, groups, config, methods,
                         n_splits=args.splits, seed=args.seed,
-                        tune=auto, workers=args.workers)
+                        tune=args.lam == "auto", workers=args.workers)
     payload = {
         "model": model,
         "splits": args.splits,

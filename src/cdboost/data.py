@@ -17,10 +17,11 @@ block comparison in the package goes through ``equal_columns``.
 benchmark replicates, stability splits) fan out to worker processes.
 """
 
+import collections
 import concurrent.futures
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,15 +197,11 @@ class FitResult:
     partitions: list[Partition]
     objective_trace: np.ndarray
     loss_trace: np.ndarray | None = None  # summed pure loss per iteration
-    selected: list[np.ndarray] = field(default_factory=list)
     final_partitions: list[Partition] | None = None
 
-    def __post_init__(self):
-        if not self.selected:
-            self.selected = [
-                np.nonzero(self.beta_hat[:, m])[0]
-                for m in range(self.beta_hat.shape[1])
-            ]
+    @property
+    def selected(self) -> list[np.ndarray]:
+        return [np.nonzero(self.beta_hat[:, m])[0] for m in range(self.M)]
 
     @property
     def M(self) -> int:
@@ -260,25 +257,8 @@ def split_class(partition: Partition, subset: tuple[int, ...]) -> Partition:
     return canonical_partition(out)
 
 
-@dataclass(frozen=True)
-class Problem:
-    """Validated multi-dataset problem handle."""
-
-    bundles: list[DatasetBundle]
-    groups: GroupStructure
-    model: str
-
-    @property
-    def M(self) -> int:
-        return len(self.bundles)
-
-    @property
-    def p(self) -> int:
-        return self.groups.p
-
-
-def validate(bundles, groups: GroupStructure, model: str = "lr") -> Problem:
-    """Check cross-dataset consistency and return a problem handle.
+def validate(bundles, groups: GroupStructure, model: str = "lr") -> None:
+    """Check cross-dataset consistency.
 
     Raises ``ValidationError`` on dimension mismatch, sample sizes below 2,
     missing values, censoring indicators under the linear-regression model,
@@ -311,7 +291,6 @@ def validate(bundles, groups: GroupStructure, model: str = "lr") -> Problem:
                 raise ValidationError(f"dataset {b.id}: all observations censored")
     if groups.p != p:
         raise ValidationError(f"group structure covers {groups.p} covariates, data has {p}")
-    return Problem(bundles=bundles, groups=groups, model=model)
 
 
 def equal_columns(block: np.ndarray) -> np.ndarray:
@@ -371,15 +350,27 @@ def partition_refresh(state: CoefficientState, groups: GroupStructure) -> Coeffi
 def _run_in_order(fn, jobs, workers: int = 1):
     """Yield ``fn(job)`` for every job, in job order.
 
-    With ``workers > 1`` and more than one job the calls run in a process
-    pool; closing the generator early cancels the jobs not yet handed to a
-    worker.  An exception raised by ``fn`` propagates either way.
+    With ``workers > 1`` and more than one job the calls run in a pool of
+    ``min(workers, len(jobs))`` processes that holds at most that many jobs
+    ahead of the consumer: job i + workers is submitted only once result i
+    has been taken.  Closing the generator early cancels the jobs not yet
+    handed to a worker.  An exception raised by ``fn`` propagates either way.
     """
     if workers <= 1 or len(jobs) <= 1:
         yield from map(fn, jobs)
         return
+    workers = min(workers, len(jobs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, jobs)
+        pending = collections.deque(pool.submit(fn, job) for job in jobs[:workers])
+        try:
+            for job in jobs[workers:]:
+                yield pending.popleft().result()
+                pending.append(pool.submit(fn, job))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -398,38 +389,47 @@ def _parse_float(cell: str, where: str) -> float:
     return v
 
 
+def _csv_rows(path, delimiter=","):
+    """The rows of a text table; bytes that are not UTF-8 and rows the csv
+    module rejects raise ``ParseError`` naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh, delimiter=delimiter)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[str]]:
     """Strictly parse one dataset CSV; returns (X, y, delta, covariate names).
 
     No standardization is applied here; values are returned exactly as
     written (bit-identical round trip with ``write_dataset_csv``).
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = _csv_rows(path)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    if not header or header[0] != "y":
+        raise ParseError(f"{path}: first column must be 'y'")
+    has_delta = len(header) > 1 and header[1] == "delta"
+    names = header[2:] if has_delta else header[1:]
+    if not names:
+        raise ParseError(f"{path}: no covariate columns")
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ParseError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0] != "y":
-            raise ParseError(f"{path}: first column must be 'y'")
-        has_delta = len(header) > 1 and header[1] == "delta"
-        names = header[2:] if has_delta else header[1:]
-        if not names:
-            raise ParseError(f"{path}: no covariate columns")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
-            try:
-                values = list(map(float, row))
-            except ValueError:
-                values = None
-            # any non-finite cell makes the row sum non-finite; the cell-by-
-            # cell pass then reports the first bad cell (a sum that merely
-            # overflows passes it unchanged)
-            if values is None or not math.isfinite(sum(values)):
-                values = [_parse_float(c, f"{path}:{i}") for c in row]
-            rows.append(values)
+            values = list(map(float, row))
+        except ValueError:
+            values = None
+        # any non-finite cell makes the row sum non-finite; the cell-by-
+        # cell pass then reports the first bad cell (a sum that merely
+        # overflows passes it unchanged)
+        if values is None or not math.isfinite(sum(values)):
+            values = [_parse_float(c, f"{path}:{i}") for c in row]
+        rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     data = np.asarray(rows)
@@ -480,20 +480,19 @@ def read_groups_tsv(path, names: list[str]) -> GroupStructure:
     0-based indices preserving numeric order.
     """
     mapping: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{i}: expected 2 tab-separated columns")
-            name, gid = row[0].strip(), row[1].strip()
-            try:
-                g = int(gid)
-            except ValueError:
-                raise ParseError(f"{path}:{i}: non-integer group id {gid!r}") from None
-            if name in mapping:
-                raise ParseError(f"{path}:{i}: duplicate covariate {name!r}")
-            mapping[name] = g
+    for i, row in enumerate(_csv_rows(path, "\t"), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise ParseError(f"{path}:{i}: expected 2 tab-separated columns")
+        name, gid = row[0].strip(), row[1].strip()
+        try:
+            g = int(gid)
+        except ValueError:
+            raise ParseError(f"{path}:{i}: non-integer group id {gid!r}") from None
+        if name in mapping:
+            raise ParseError(f"{path}:{i}: duplicate covariate {name!r}")
+        mapping[name] = g
     missing = [n for n in names if n not in mapping]
     if missing:
         raise ValidationError(f"{path}: no group for covariates {missing[:5]}")

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import (
+    ALGORITHMS,
     BoostConfig,
     DatasetBundle,
     FitResult,
@@ -37,13 +38,9 @@ from .simulate import (
 )
 from .tuning import select_lambda
 
-METHOD_ALIASES = {
-    "cd": "cd_sboost", "cd-sboost": "cd_sboost", "cd_sboost": "cd_sboost",
-    "int": "int_sboost", "int-sboost": "int_sboost", "int_sboost": "int_sboost",
-    "sep": "sep_sboost", "sep-sboost": "sep_sboost", "sep_sboost": "sep_sboost",
-    "pool": "pool_sboost", "pool-sboost": "pool_sboost", "pool_sboost": "pool_sboost",
-    "sboost": "sboost",
-}
+# each algorithm by its name, its hyphenated name and its short name
+METHOD_ALIASES = {alias: name for name in ALGORITHMS
+                  for alias in (name, name.replace("_", "-"), name.split("_")[0])}
 
 METRIC_FIELDS = ("variable_tp", "variable_fp", "group_tp", "group_fp", "ermse", "prmse")
 

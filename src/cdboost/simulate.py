@@ -61,6 +61,8 @@ class CalibrationError(NumericError):
 
 def stream(seed: int, replicate: int, dataset: int, purpose: int) -> np.random.Generator:
     """Independent generator for one (replicate, dataset, purpose) slot."""
+    if seed < 0 or replicate < 0:
+        raise ValidationError(f"seed and replicate must be >= 0, got {seed} and {replicate}")
     return np.random.default_rng(np.random.SeedSequence([seed, replicate, dataset, purpose]))
 
 
@@ -115,6 +117,8 @@ class SimDesign:
     def __post_init__(self):
         if self.M < 1:
             raise ValidationError("M must be >= 1")
+        if self.n < 2:
+            raise ValidationError(f"n must be >= 2, got {self.n}")
         if abs(self.rho_f + self.rho_p + self.rho_n - 1.0) > 1e-9:
             raise ValidationError("scenario proportions must sum to 1")
         if min(self.rho_f, self.rho_p, self.rho_n) < 0:
@@ -125,6 +129,8 @@ class SimDesign:
             raise ValidationError(f"unknown model {self.model!r}")
         if self.sigma2 <= 0:
             raise ValidationError("sigma2 must be positive")
+        if not all(map(math.isfinite, (self.rho_f, self.rho_p, self.rho_n, self.sigma2))):
+            raise ValidationError("scenario proportions and sigma2 must be finite")
         if not 0 < self.target_censoring < 1:
             raise ValidationError("target_censoring must lie in (0, 1)")
         if not 0 <= self.between_corr < self.within_corr < 1:
@@ -347,33 +353,6 @@ def small_example_design(seed: int = 0, model: str = "lr") -> SimDesign:
     )
 
 
-def gen_small_example(seed: int = 0, replicate: int = 0, model: str = "lr"):
-    """The fixed 4-group demonstration design: M=3, n=50, p=200.
-
-    Group 1 is fully common, group 2 differs everywhere, groups 3 and 4 are
-    partially common (sub-cases (a) and (b)); every nonzero coefficient is 1.
-    """
-    design = small_example_design(seed, model)
-    truth = gen_truth(design, replicate,
-                      scenarios=("full", "none", "partial_a", "partial_b"))
-    bundles, _ = simulate_replicate(design, replicate, truth=truth)
-    return bundles, truth, design
-
-
-def true_covariance(design: SimDesign) -> np.ndarray:
-    """Dense covariate correlation matrix implied by the generator."""
-    b = design.between_corr
-    rho = design.rho_within
-    cov = np.full((design.p, design.p), b)
-    start = 0
-    for g in design.sizes:
-        idx = np.arange(g)
-        block = b + (1 - b) * rho ** np.abs(idx[:, None] - idx[None, :])
-        cov[start:start + g, start:start + g] = block
-        start += g
-    return cov
-
-
 def covariance_quad_form(design: SimDesign, d: np.ndarray) -> float:
     """d' Sigma d from the generator's structure, block by block."""
     b = design.between_corr
@@ -412,16 +391,6 @@ def truth_payload(design: SimDesign, truth: GroundTruth) -> dict:
         ],
         "important": [list(idx) for idx in truth.important],
     }
-
-
-def load_truth(path) -> tuple[np.ndarray, dict]:
-    """Inverse of truth_payload for the coefficient matrix."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    beta = np.zeros((payload["p"], payload["M"]))
-    for j, m, value in payload["beta"]:
-        beta[j, m] = value
-    return beta, payload
 
 
 def write_simulation(outdir, design: SimDesign, replicate: int = 0,

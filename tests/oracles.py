@@ -7,12 +7,14 @@ fitting internals (``cdboost.boosting``, ``cdboost.losses``,
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from cdboost.data import CoefficientState, all_common_partition
+from cdboost.simulate import gen_truth, simulate_replicate, small_example_design
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,17 @@ class Candidate:
     s: int
     A: tuple
     gamma: float
+
+
+@dataclass(frozen=True)
+class PenaltySpec:
+    """Commonality penalty weight, dataset and group counts, and which
+    dataset pairs are counted (``all_pairs`` or adjacent ``ordered``)."""
+
+    lam: float
+    M: int
+    K: int
+    mode: str = "all_pairs"
 
 
 def unequal_pairs(partition, M, mode):
@@ -367,6 +380,20 @@ def quad_form_direct(sigma_fn, p, d):
     return total
 
 
+def true_covariance(design):
+    """Dense covariate correlation matrix implied by the generator."""
+    b = design.between_corr
+    rho = design.rho_within
+    cov = np.full((design.p, design.p), b)
+    start = 0
+    for g in design.sizes:
+        idx = np.arange(g)
+        block = b + (1 - b) * rho ** np.abs(idx[:, None] - idx[None, :])
+        cov[start:start + g, start:start + g] = block
+        start += g
+    return cov
+
+
 def design_sigma_fn(design):
     """Entry (i, j) of the population covariate covariance for a design."""
     sizes = list(design.sizes)
@@ -383,6 +410,29 @@ def design_sigma_fn(design):
         return b + (1.0 - b) * rho ** abs(i - j)
 
     return sigma
+
+
+def gen_small_example(seed=0, replicate=0, model="lr"):
+    """The fixed 4-group demonstration design: M=3, n=50, p=200.
+
+    Group 1 is fully common, group 2 differs everywhere, groups 3 and 4 are
+    partially common (sub-cases (a) and (b)); every nonzero coefficient is 1.
+    """
+    design = small_example_design(seed, model)
+    truth = gen_truth(design, replicate,
+                      scenarios=("full", "none", "partial_a", "partial_b"))
+    bundles, _ = simulate_replicate(design, replicate, truth=truth)
+    return bundles, truth, design
+
+
+def load_truth(path):
+    """The coefficient matrix and payload of a written ``truth.json``."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    beta = np.zeros((payload["p"], payload["M"]))
+    for j, m, value in payload["beta"]:
+        beta[j, m] = value
+    return beta, payload
 
 
 def logrank_statistic(time, delta, group):

@@ -21,7 +21,6 @@ from cdboost.data import (
     partition_refresh,
 )
 from cdboost.boosting import (
-    PenaltySpec,
     _path,
     cd_sboost_fit,
     fit as run_fit,
@@ -44,7 +43,6 @@ from cdboost.simulate import (
     scenario_counts,
     simulate_replicate,
     small_example_design,
-    true_covariance,
 )
 from cdboost.tuning import hdbic
 
@@ -54,6 +52,7 @@ from oracles import (
     HAND_LOGRANK_GROUP,
     HAND_LOGRANK_TIME,
     HAND_LOGRANK_VALUE,
+    PenaltySpec,
     brute_cd_path,
     commonality_penalty,
     ermse_direct,
@@ -154,9 +153,8 @@ def test_criterion_1_oracle_equivalence():
         config = BoostConfig(T=20, lam=lam, penalty_mode=mode,
                              algorithm="cd_sboost")
         ctx = build_context(bundles, "lr")
-        spec = PenaltySpec(lam=lam, M=2, K=2, mode=mode)
         init = [all_common_partition(2)] * 2
-        path = _path(ctx, groups, config, spec, init, False)
+        path = _path(ctx, groups, config, init, False)
         records = [step for t in range(config.T) for step in path.steps(t)]
         result = cd_sboost_fit(bundles, groups, config)
         trace = result.objective_trace

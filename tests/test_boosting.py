@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import cdboost
 import oracles
-from cdboost import boosting, losses
+from cdboost import boosting, losses, simulate
 from cdboost.boosting import (
-    PenaltySpec,
     _path,
     _SubsetTasks,
     _sparsity_change,
@@ -27,6 +26,7 @@ from cdboost.data import (
     GroupStructure,
     all_common_partition,
     canonical_partition,
+    ValidationError,
     partition_refresh,
     standardize_columns,
 )
@@ -35,6 +35,7 @@ from cdboost.losses import build_context
 from conftest import make_lr_bundles, make_aft_bundles, tiny_groups
 from oracles import (
     Candidate,
+    PenaltySpec,
     brute_cd_path,
     candidate_set,
     cd_objective,
@@ -358,8 +359,7 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         groups = tiny_groups(5, 2)
         config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
         ctx = build_context(bundles, "lr")
-        spec = PenaltySpec(lam=lam, M=M, K=2, mode=mode)
-        path = _path(ctx, groups, config, spec, [all_common_partition(M)] * 2, True)
+        path = _path(ctx, groups, config, [all_common_partition(M)] * 2, True)
         records = [step for t in range(config.T) for step in path.steps(t)]
         trace = cd_sboost_fit(bundles, groups, config, verify_partitions=True).objective_trace
         b_records, b_trace, _, _ = brute_cd_path(
@@ -498,3 +498,17 @@ def test_reference_code_not_in_package():
         assert not hasattr(cdboost, name)
         assert not hasattr(boosting, name) and not hasattr(losses, name)
     assert not hasattr(CoefficientState, "initial")
+    assert not hasattr(boosting, "PenaltySpec")
+    for name in ("gen_small_example", "true_covariance", "load_truth"):
+        assert not hasattr(simulate, name)
+
+
+def test_fit_dispatch_passes_its_arguments_on(lr_problem):
+    """sboost refuses several datasets, and a keyword argument only the cd
+    fitter takes is an error for the others, not silently dropped."""
+    bundles, groups = lr_problem
+    with pytest.raises(ValidationError, match="sboost takes a single dataset"):
+        fit(bundles, groups, BoostConfig(T=5, algorithm="sboost"))
+    with pytest.raises(TypeError):
+        fit(bundles, groups, BoostConfig(T=5, algorithm="sep_sboost"), verify_partitions=True)
+    assert fit(bundles, groups, BoostConfig(T=5), verify_partitions=True).t_hat >= 1

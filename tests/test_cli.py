@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cdboost.cli import _merge_config, build_parser, main
 from cdboost.data import GroupStructure, write_dataset_csv, write_groups_tsv
@@ -296,6 +297,145 @@ def test_numeric_failure_exit_4(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(cli, "stability", explode)
     assert main(["stability", "--data", *paths, "--groups", groups,
                  "--splits", "4"]) == 4
+
+
+_SIM = ["simulate", "--preset", "reduced", "--p", "40", "--k", "2", "--seed", "1"]
+_BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "2",
+          "--seed", "1", "--replicates", "1", "--iters", "5"]
+
+
+@pytest.mark.parametrize("case, want", [
+    ("simulate-rho-nan", 3),
+    ("benchmark-rho-nan", 3),
+    ("benchmark-sigma2-nan", 3),
+    ("simulate-n-zero-aft", 3),
+    ("simulate-n-negative", 3),
+    ("simulate-replicate-negative", 3),
+    ("stability-sboost-two-datasets", 3),
+    ("csv-not-utf8", 2),
+    ("tsv-not-utf8", 2),
+    ("config-not-utf8", 2),
+])
+def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
+    paths, groups = _write_problem(tmp_path, rng)
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("y,x1\n1.0,café\n".encode("latin-1"))
+    outdir = ["--outdir", str(tmp_path / "sim")]
+    argv = {
+        "simulate-rho-nan": [*_SIM, *outdir, "--rho", "0.8,0.2,nan"],
+        "benchmark-rho-nan": [*_BENCH, "--rho", "0.8,0.2,nan"],
+        "benchmark-sigma2-nan": [*_BENCH, "--sigma2", "nan"],
+        "simulate-n-zero-aft": [*_SIM, *outdir, "--n", "0", "--model", "aft"],
+        "simulate-n-negative": [*_SIM, *outdir, "--n", "-5"],
+        "simulate-replicate-negative": [*_SIM, *outdir, "--n", "20", "--replicate", "-1"],
+        "stability-sboost-two-datasets": ["stability", "--data", *paths, "--groups", groups,
+                                          "--methods", "cd,sboost", "--splits", "2",
+                                          "--iters", "10", "--lambda", "0.5"],
+        "csv-not-utf8": ["fit", "--data", str(bad), "--groups", groups],
+        "tsv-not-utf8": ["fit", "--data", *paths, "--groups", str(bad)],
+        "config-not-utf8": ["fit", "--data", *paths, "--groups", groups,
+                            "--config", str(bad)],
+    }[case]
+    assert main(argv) == want
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under generated bad input
+# ---------------------------------------------------------------------------
+
+# flag values, most wrong in type, range or finiteness; every number is
+# small, so no case asks for many iterations, splits or processes
+_BAD_VALUES = ["", "0", "-1", "1", "3", "2.5", "-0.5", "nan", "inf", "-inf", "1e400",
+               "abc", "auto", "0,0", "1,,2", "0.8,0.2", "0.8,0.2,nan", "x,y,z", "é",
+               "0.3", "ordered", "pool-sboost", "sboost", "aft", "lr", "0,1"]
+_FIT_FLAGS = ["--nu", "--iters", "--lambda", "--penalty-mode", "--workers", "--grid",
+              "--method", "--model"]
+_SIM_FLAGS = ["--n", "--p", "--k", "--rho", "--sigma2", "--seed", "--replicate",
+              "--scheme", "--design", "--model"]
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    """Apply (position, replacement) edits; positions wrap around the data."""
+    out = bytearray(data)
+    for pos, chunk in edits:
+        at = pos % (len(out) + 1)
+        out[at:at + 1] = chunk
+    return bytes(out)
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 10**6),
+                            st.sampled_from([b"", b",", b"\n", b"\t", b"\r", b'"', b"=",
+                                             b"#", b"\x00", b"\xff", b"nan", b"inf", b"1e999",
+                                             b"delta", b"y", b"-", b"1", b"0", b" "])),
+                  max_size=4)
+
+
+@pytest.fixture(scope="module")
+def contract_problem(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    paths, groups = _write_problem(root, np.random.default_rng(3), n=12, p=4)
+    return root, paths, groups
+
+
+def _exit_code(argv) -> int:
+    """main's exit code; argparse's own usage errors exit with 2 as well."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# capsys is read, and so emptied, once per example
+_ONE_FIXTURE_PER_RUN = [HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=_ONE_FIXTURE_PER_RUN)
+@given(fault=st.sampled_from(["csv", "tsv", "config", "flags", "all"]),
+       csv_edits=_EDITS, tsv_edits=_EDITS,
+       config=st.lists(st.tuples(st.sampled_from(["iters", "nu", "lambda", "model", "grid",
+                                                  "method", "penalty-mode", "seed", "bogus"]),
+                                 st.sampled_from(_BAD_VALUES)), max_size=3),
+       flags=st.lists(st.tuples(st.sampled_from(_FIT_FLAGS), st.sampled_from(_BAD_VALUES)),
+                      max_size=3))
+def test_fit_exit_code_contract(contract_problem, capsys, fault, csv_edits, tsv_edits,
+                                config, flags):
+    """Malformed data, groups and config files and bad flag values, one
+    source at a time or all at once, end in exit 0, 2, 3 or 4 with at most
+    a one-line error, never a traceback."""
+    root, paths, groups = contract_problem
+    if fault not in ("csv", "all"):
+        csv_edits = []
+    if fault not in ("tsv", "all"):
+        tsv_edits = []
+    if fault not in ("config", "all"):
+        config = []
+    if fault not in ("flags", "all"):
+        flags = []
+    data, tsv, cfg = root / "d.csv", root / "g.tsv", root / "c.cfg"
+    data.write_bytes(_mutate(Path(paths[0]).read_bytes(), csv_edits))
+    tsv.write_bytes(_mutate(Path(groups).read_bytes(), tsv_edits))
+    cfg.write_bytes("".join(f"{k} = {v}\n" for k, v in config).encode())
+    argv = ["fit", "--data", str(data), paths[1], "--groups", str(tsv),
+            "--iters", "5", "--lambda", "0.5", "--workers", "1", "--config", str(cfg)]
+    argv += [part for flag, value in flags for part in (flag, value)]
+    assert _exit_code(argv) in (0, 2, 3, 4)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: ") <= 1
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=_ONE_FIXTURE_PER_RUN)
+@given(flags=st.lists(st.tuples(st.sampled_from(_SIM_FLAGS), st.sampled_from(_BAD_VALUES)),
+                      min_size=1, max_size=3))
+def test_simulate_exit_code_contract(tmp_path_factory, capsys, flags):
+    outdir = tmp_path_factory.mktemp("sim")
+    argv = ["simulate", "--preset", "reduced", "--n", "10", "--p", "12", "--k", "2",
+            "--seed", "1", "--outdir", str(outdir)]
+    argv += [part for flag, value in flags for part in (flag, value)]
+    assert _exit_code(argv) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

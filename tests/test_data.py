@@ -1,5 +1,9 @@
+import concurrent.futures
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdboost.data import (
     BoostConfig,
@@ -8,6 +12,8 @@ from cdboost.data import (
     GroupStructure,
     ParseError,
     ValidationError,
+    _parse_float,
+    _run_in_order,
     adjacent_equal_pairs,
     all_common_partition,
     block_partition,
@@ -61,8 +67,7 @@ def test_group_structure_rejects_negative_ids(assignment):
 
 def test_validate_consistent_problem(lr_problem):
     bundles, groups = lr_problem
-    prob = validate(bundles, groups, "lr")
-    assert len(prob.bundles) == 3
+    assert validate(bundles, groups, "lr") is None
 
 
 def test_validate_rejects_p_mismatch(rng):
@@ -282,3 +287,97 @@ def test_groups_tsv_rejects_unknown_covariate(tmp_path):
     path.write_text("x1\t0\nx9\t1\n")
     with pytest.raises(ValidationError):
         read_groups_tsv(path, ["x1", "x2"])
+
+
+# ---------------------------------------------------------------------------
+# CSV row parsing: the fast path against the cell-by-cell path
+# ---------------------------------------------------------------------------
+
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["", " 1.5 ", "1_0", "abc", "Infinity", "-NaN", "+inf", "1e400",
+                     "-1e400", "1e308", "0x10", "١٢", "1e-400", ".5", "5.", "--1"]),
+)
+
+
+def _cell_by_cell(path):
+    """Every data row through ``_parse_float``, the first bad cell raising."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    data = np.asarray([[_parse_float(c, f"{path}:{i}") for c in row]
+                       for i, row in enumerate(rows, start=2)])
+    return data[:, 1:], data[:, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=3, max_size=3), min_size=1, max_size=4))
+def test_csv_fast_rows_match_cell_by_cell(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([["y", "a", "b"], *rows])
+    try:
+        want = _cell_by_cell(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == str(exc)
+        return
+    X, y, delta, names = read_dataset_csv(path)
+    assert (X.tobytes(), y.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    assert delta is None and names == ["a", "b"]
+
+
+# ---------------------------------------------------------------------------
+# the ordered job runner
+# ---------------------------------------------------------------------------
+
+
+def _inline_pool(made):
+    """A stand-in for ProcessPoolExecutor that runs each job when it is
+    submitted, in this process, and appends itself to ``made``."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.submitted = 0
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, job):
+            self.submitted += 1
+            future = concurrent.futures.Future()
+            future.set_result(fn(job))
+            return future
+
+    return InlinePool
+
+
+def _square(x):
+    return x * x
+
+
+@pytest.mark.parametrize("workers, n_jobs, stop", [
+    (64, 11, None), (2, 11, None), (3, 11, 4), (3, 2, None), (4, 4, 1),
+])
+def test_run_in_order_bounds_pool_and_window(monkeypatch, workers, n_jobs, stop):
+    """The pool has min(workers, jobs) processes and at most that many jobs
+    are submitted beyond those already taken; closing early submits no more."""
+    made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _inline_pool(made))
+    window = min(workers, n_jobs)
+    runs = _run_in_order(_square, list(range(n_jobs)), workers)
+    taken = []
+    for value in runs:
+        taken.append(value)
+        assert made[0].submitted <= len(taken) - 1 + window
+        if len(taken) == stop:
+            break
+    runs.close()
+    assert taken == [j * j for j in range(stop or n_jobs)]
+    assert [pool.max_workers for pool in made] == [window]

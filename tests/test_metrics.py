@@ -30,7 +30,7 @@ from cdboost.metrics import (
     stability,
     variable_tp_fp,
 )
-from cdboost.simulate import GroundTruth, SimDesign, true_covariance
+from cdboost.simulate import GroundTruth, SimDesign
 
 from conftest import make_aft_bundles, make_lr_bundles, tiny_groups
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     ermse_direct,
     logrank_statistic,
     ooi_direct,
+    true_covariance,
 )
 
 

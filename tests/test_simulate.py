@@ -13,19 +13,22 @@ from cdboost.simulate import (
     covariance_quad_form,
     gen_covariates,
     gen_responses,
-    gen_small_example,
     gen_truth,
     group_sizes,
-    load_truth,
     scenario_counts,
     simulate_replicate,
     small_example_design,
     stream,
-    true_covariance,
     write_simulation,
 )
 
-from oracles import design_sigma_fn, quad_form_direct
+from oracles import (
+    design_sigma_fn,
+    gen_small_example,
+    load_truth,
+    quad_form_direct,
+    true_covariance,
+)
 
 
 # ---------------------------------------------------------------------------

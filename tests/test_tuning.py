@@ -267,3 +267,29 @@ def test_select_lambda_stops_fitting_after_split_free_value(lr_problem, monkeypa
     assert calls == list(values[:first + 1])
     assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
 
+
+
+def test_parallel_search_fits_at_most_workers_minus_one_extra(lr_problem, monkeypatch,
+                                                              tmp_path):
+    """With two workers the search runs at most one fit past the first
+    split-free value.  Each fit leaves a file; forked workers inherit the
+    counting wrapper."""
+    bundles, groups = lr_problem
+    config = BoostConfig(T=40, algorithm="cd_sboost")
+    values = (0.0, 0.05, 0.2, 0.5, 2.0, 10.0, 20.0, 50.0, 100.0)
+    serial = LambdaGrid(values=values)
+    select_lambda(bundles, groups, config, grid=serial)
+    first = next(i for i, f in enumerate(serial.fits) if _split_free(f, 3, groups.K))
+    assert first + 2 < len(values)
+
+    def counting(bundles, groups, config, **kwargs):
+        (tmp_path / f"fit-{config.lam!r}").touch()
+        return cd_sboost_fit(bundles, groups, config, **kwargs)
+
+    monkeypatch.setattr(boosting, "cd_sboost_fit", counting)
+    workers = 2
+    grid = LambdaGrid(values=values)
+    select_lambda(bundles, groups, config, grid=grid, workers=workers)
+    assert first + 1 <= len(list(tmp_path.iterdir())) <= first + 1 + workers - 1
+    assert _score_bytes(grid.scores) == _score_bytes(serial.scores)
+    assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for f in serial.fits]
