@@ -7,12 +7,17 @@ coefficient blocks -- with the shared closed-form increment over A and the
 change of the objective: loss + BIC-type sparsity term + commonality penalty
 (lam times the fraction of (group, dataset-pair) blocks that differ).
 Applying an increment to a proper subset of a class splits the class;
-classes never merge.  The fitters differ only in the starting classes, in
+classes never merge.  The path holds each group's classes as one label row
+(entry m is the smallest dataset in m's class): ``_split`` is the split
+rule, and ``_unequal`` counts differing pairs, both for the penalty trace
+and, on every candidate's split-off row at once, for the split costs of
+``_SubsetTasks``.  The fitters differ only in the starting classes, in
 which candidates step and in where they stop:
 
 * ``cd_sboost_fit``   -- all datasets start in one class per group; each
   iteration the single best candidate steps; stops at the first argmin of
-  the summed objective trace.
+  the summed objective trace, and reports the classes there from the
+  coefficients: the starting classes met with exact block equality.
 * ``sep_sboost_fit``  -- every dataset is its own class (no penalty), and
   each iteration every dataset steps with its own best covariate: M
   independent single-dataset paths in lockstep.  Each dataset stops at the
@@ -43,47 +48,43 @@ from .data import (
     Partition,
     ValidationError,
     all_common_partition,
-    block_partition,
-    canonical_partition,
-    partition_meet,
+    block_labels,
+    label_classes,
+    partition_labels,
     partition_refresh,
     singleton_partitions,
-    split_class,
     validate,
 )
 from .losses import LossContext, build_context
 
 
-def _unequal_pairs(partition: Partition, M: int, mode: str) -> int:
-    """Counted dataset pairs whose blocks differ under this partition."""
+def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> bool:
+    """Split A off its class in group k's label row when the increment g is
+    nonzero and A is a proper subset of the class; return whether it split.
+
+    A lies inside one class, as every candidate does.  Its members take the
+    label A[0] and the rest of the class its smallest remaining member, so
+    the row stays canonical.
+    """
+    row = labels[k]
+    c = row[A[0]]
+    if g == 0.0 or len(A) == row.count(c):
+        return False
+    rest = [m for m, label in enumerate(row) if label == c and m not in A]
+    for m in A:
+        row[m] = A[0]
+    for m in rest:
+        row[m] = rest[0]
+    return True
+
+
+def _unequal(labels, mode: str) -> np.ndarray:
+    """Counted dataset pairs whose labels differ, per label row (datasets on
+    the last axis): all pairs, or the adjacent ones under ``ordered``."""
+    labels = np.asarray(labels)
     if mode == "ordered":
-        cls = {}
-        for i, c in enumerate(partition):
-            for m in c:
-                cls[m] = i
-        return sum(1 for m in range(M - 1) if cls[m] != cls[m + 1])
-    same = sum(len(c) * (len(c) - 1) // 2 for c in partition)
-    return M * (M - 1) // 2 - same
-
-
-def _split_delta(cls: tuple[int, ...], A: tuple[int, ...], mode: str) -> int:
-    """Increase in unequal pairs when class ``cls`` splits into A and cls\\A."""
-    if mode == "ordered":
-        inA = set(A)
-        incls = set(cls)
-        return sum(
-            1
-            for m in cls
-            if m + 1 in incls and (m in inA) != (m + 1 in inA)
-        )
-    return len(A) * (len(cls) - len(A))
-
-
-def _class_containing(partition: Partition, A: tuple[int, ...]) -> tuple[int, ...]:
-    for c in partition:
-        if A[0] in c:
-            return c
-    raise ValueError(f"no class contains {A}")
+        return np.count_nonzero(labels[..., 1:] != labels[..., :-1], axis=-1)
+    return np.count_nonzero(labels[..., :, None] != labels[..., None, :], axis=(-2, -1)) // 2
 
 
 def _nonempty_subsets(cls: tuple[int, ...]):
@@ -93,7 +94,7 @@ def _nonempty_subsets(cls: tuple[int, ...]):
 
 
 class _SubsetTasks:
-    """Candidate subsets of the current partitions, in vectorized form.
+    """Candidate subsets of the current classes, in vectorized form.
 
     A subset A is a candidate for covariate s when A lies inside one
     equality class of s's group; splitting a proper superclass raises the
@@ -109,27 +110,25 @@ class _SubsetTasks:
     only when a class splits.
     """
 
-    def __init__(self, parts, M, assignment, col_norms, pf, mode, pen_scale):
-        K = len(parts)
-        classes = sorted({c for pt in parts for c in pt}, key=lambda c: (-len(c), c))
+    def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale):
+        classes = {tuple(m for m, c in enumerate(row) if c == label)
+                   for row in labels for label in set(row)}
         self.subsets = sorted(
             {A for c in classes for A in _nonempty_subsets(c)},
             key=lambda A: (-len(A), A),
         )
-        S = len(self.subsets)
+        labels = np.asarray(labels)                 # (K, M)
+        S, M = len(self.subsets), labels.shape[1]
         self.ind = np.zeros((S, M))
-        valid = np.zeros((S, K), dtype=bool)
-        dsplit = np.zeros((S, K))
-        for i, A in enumerate(self.subsets):
-            self.ind[i, list(A)] = 1.0
-            Aset = frozenset(A)
-            for k, pt in enumerate(parts):
-                cls = _class_containing(pt, A[:1])
-                if Aset <= frozenset(cls):
-                    valid[i, k] = True
-                    if len(A) < len(cls):
-                        dsplit[i, k] = pen_scale * _split_delta(cls, A, mode)
+        self.ind[np.repeat(np.arange(S), [len(A) for A in self.subsets]),
+                 list(itertools.chain.from_iterable(self.subsets))] = 1.0
         self.first = np.array([A[0] for A in self.subsets])
+        inA = self.ind[:, None, :] > 0              # (S, 1, M)
+        # A is a candidate in group k when it lies inside one class there;
+        # its split cost counts the pairs that relabelling A apart adds
+        valid = ((labels == labels[:, self.first].T[:, :, None]) | ~inA).all(axis=2)
+        split = np.where(inA, -1, labels)           # (S, K, M)
+        dsplit = pen_scale * np.where(valid, _unequal(split, mode) - _unequal(labels, mode), 0)
         self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
         self.okA = self.denA > 0
@@ -194,14 +193,15 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
     pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
-    parts: list[Partition] = list(initial_partitions)
-    unequal = sum(_unequal_pairs(pt, M, mode) for pt in parts)
+    labels = [partition_labels(pt) for pt in initial_partitions]
+    start = [row.copy() for row in labels]
+    unequal = int(_unequal(labels, mode).sum())
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
     nnz = [0] * M                    # running nonzero count per dataset
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
 
-    tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, mode, pen_scale)
+    tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
     R = len(tasks.subsets) if every_subset else 1
     subsets = []
     rows = np.empty((T, R), dtype=np.int64)
@@ -236,11 +236,9 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             s_hat, A_hat, g_hat = js[i], candidates[i], float(gamma[i, js[i]])
             rows[t, r], s_steps[t, r], g_steps[t, r] = i, s_hat, g_hat
             k_hat = int(assignment[s_hat])
-            cls = _class_containing(parts[k_hat], A_hat)
-            if g_hat != 0.0 and len(A_hat) < len(cls):
-                unequal += _split_delta(cls, A_hat, mode)
-                parts[k_hat] = split_class(parts[k_hat], A_hat)
-                tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, mode, pen_scale)
+            if _split(labels, k_hat, A_hat, g_hat):
+                unequal = int(_unequal(labels, mode).sum())
+                tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
             step = nu * g_hat
             for m in A_hat:
                 was_nonzero = coef[m, s_hat] != 0
@@ -250,9 +248,8 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 numer[m] = ctx.X[m].T @ (ctx.weights[m] * resid[m])
             # only group k_hat changed; untouched groups agree by induction,
             # and the full state is re-checked after the loop
-            if verify_partitions and parts[k_hat] != partition_meet(
-                    initial_partitions[k_hat],
-                    block_partition(coef[:, group_idx[k_hat]].T)):
+            if verify_partitions and labels[k_hat] != block_labels(
+                    coef[:, group_idx[k_hat]].T, start[k_hat]):
                 raise AssertionError(
                     f"iteration {t + 1}: tracked partition of group {k_hat} "
                     f"diverged from element-wise comparison"
@@ -263,32 +260,25 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             sparsity[m, t] = pf[m] * nnz[m]
         penalty[t] = lam * unequal / normalizer if normalizer > 0 else 0.0
 
-    if verify_partitions:
-        refreshed = partition_refresh(CoefficientState(beta=coef.T, partitions=parts), groups)
-        if list(map(partition_meet, initial_partitions, refreshed.partitions)) != parts:
-            raise AssertionError(
-                "final state: tracked partitions diverged from element-wise "
-                "comparison"
-            )
-    return _Path(subsets, rows, s_steps, g_steps, loss, sparsity, penalty, parts)
+    if verify_partitions and labels != [
+            block_labels(coef[:, idx].T, row) for idx, row in zip(group_idx, start)]:
+        raise AssertionError(
+            "final state: tracked partitions diverged from element-wise "
+            "comparison"
+        )
+    return _Path(subsets, rows, s_steps, g_steps, loss, sparsity, penalty,
+                 [label_classes(row) for row in labels])
 
 
-def _replay(path: _Path, assignment, nu, p, initial_partitions, t_stop):
-    """Coefficients after the first ``t_stop[m]`` iterations for dataset m,
-    and the classes after the first ``max(t_stop)`` iterations."""
+def _replay(path: _Path, nu, p, t_stop):
+    """Coefficients after the first ``t_stop[m]`` iterations for dataset m."""
     beta = np.zeros((p, len(t_stop)))
-    parts = list(initial_partitions)
     for t in range(max(t_stop)):
         for s, A, g in path.steps(t):
-            k = int(assignment[s])
-            if g != 0.0:
-                cls = _class_containing(parts[k], A)
-                if len(A) < len(cls):
-                    parts[k] = split_class(parts[k], A)
             for m in A:
                 if t < t_stop[m]:
                     beta[s, m] += nu * g
-    return beta, parts
+    return beta
 
 
 def _first_argmin(trace) -> int:
@@ -315,7 +305,7 @@ def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
         t_stop = [_first_argmin(total)] * ctx.M
     else:
         t_stop = [_first_argmin(trace) for trace in objective]
-    beta, _ = _replay(path, groups.assignment, config.nu, ctx.p, singles, t_stop)
+    beta = _replay(path, config.nu, ctx.p, t_stop)
     state = partition_refresh(CoefficientState(beta=beta, partitions=[]), groups)
     return FitResult(
         beta_hat=beta,
@@ -396,14 +386,13 @@ def cd_sboost_fit(
     M = ctx.M
     if initial_partitions is None:
         initial_partitions = [all_common_partition(M)] * groups.K
-    else:
-        initial_partitions = [canonical_partition(pt) for pt in initial_partitions]
     path = _path(ctx, groups, config, initial_partitions, verify_partitions)
     loss = sum(path.loss)
     trace = loss + sum(path.sparsity) + path.penalty
     t_hat = _first_argmin(trace)
-    beta, parts = _replay(path, groups.assignment, config.nu, ctx.p,
-                          initial_partitions, [t_hat] * M)
+    beta = _replay(path, config.nu, ctx.p, [t_hat] * M)
+    parts = [label_classes(block_labels(beta[groups.indices(k)], partition_labels(pt)))
+             for k, pt in enumerate(initial_partitions)]
     return FitResult(beta_hat=beta, t_hat=t_hat, partitions=parts, objective_trace=trace,
                      loss_trace=loss, final_partitions=path.partitions)
 

@@ -156,11 +156,11 @@ def _merge_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
 def _parse_rho(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValidationError(f"--rho wants three comma-separated values, got {text!r}")
+        raise ParseError(f"--rho wants three comma-separated values, got {text!r}")
     try:
         rho = tuple(float(x) for x in parts)
     except ValueError:
-        raise ValidationError(f"non-numeric --rho value in {text!r}") from None
+        raise ParseError(f"non-numeric --rho value in {text!r}") from None
     return rho
 
 
@@ -175,13 +175,16 @@ def _parse_lambda_grid(text: str) -> LambdaGrid:
     try:
         values = sorted(float(x) for x in text.split(","))
     except ValueError:
-        raise ValidationError(f"non-numeric --grid value in {text!r}") from None
+        raise ParseError(f"non-numeric --grid value in {text!r}") from None
     return LambdaGrid(values=tuple(values))
 
 
 def _boost_config(args, algorithm: str, model: str) -> BoostConfig:
     """The fit settings given by --nu, --iters, --lambda and --penalty-mode;
-    lambda is 0.0 under ``auto`` until a grid search picks it."""
+    lambda is 0.0 under ``auto`` until a grid search picks it.  Also checks
+    --workers, which every command taking these settings has."""
+    if args.workers < 1:
+        raise ValidationError(f"--workers must be >= 1, got {args.workers}")
     lam = 0.0 if args.lam == "auto" else _parse_lambda(args.lam)
     return BoostConfig(nu=args.nu, T=args.iters, lam=lam, algorithm=algorithm,
                        model=model, penalty_mode=args.penalty_mode)
@@ -236,7 +239,8 @@ def cmd_fit(args) -> int:
     config = _boost_config(args, method, model)
     lam = config.lam
     if args.lam == "auto" and method == "cd_sboost":
-        grid = _parse_lambda_grid(args.grid) if args.grid else default_lambda_grid(bundles)
+        grid = (default_lambda_grid(bundles) if args.grid is None
+                else _parse_lambda_grid(args.grid))
         lam, result = select_lambda(bundles, groups, config, grid=grid,
                                     workers=args.workers)
     else:

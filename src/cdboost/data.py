@@ -6,12 +6,14 @@ share the same covariates (p columns in identical order) and a
 A ``CoefficientState`` pairs a p x M coefficient matrix with the per-group
 partition of datasets into equality classes (the commonality bookkeeping).
 
-Equality classes are maintained structurally during fitting: datasets that
+The boosting path tracks equality classes structurally, as one label row
+per group (entry m is the smallest dataset in m's class): datasets that
 receive identical joint increments keep exactly equal coefficient blocks, so
-no floating-point comparison is ever needed on the hot path.
-``partition_refresh`` recomputes the classes from element-wise comparison and
-is used in tests to cross-check the incremental bookkeeping.  Every exact
-block comparison in the package goes through ``equal_columns``.
+its step loop compares no floats.  The classes a fit reports are read off
+the coefficients by exact block comparison instead: ``block_labels`` (met
+with the starting classes) for the cd fit, ``partition_refresh`` for the
+separate fits and for output checks.  Every exact block comparison in the
+package goes through ``equal_columns``.
 
 ``_run_in_order`` is the one place where independent jobs (grid values,
 benchmark replicates, stability splits) fan out to worker processes.
@@ -235,28 +237,6 @@ def canonical_partition(classes) -> Partition:
     return tuple(cs)
 
 
-def split_class(partition: Partition, subset: tuple[int, ...]) -> Partition:
-    """Split the class containing ``subset`` into subset and complement.
-
-    No-op when ``subset`` already equals its containing class. Raises if the
-    subset straddles class boundaries (caller bug).
-    """
-    sub = frozenset(subset)
-    out = []
-    for c in partition:
-        cset = frozenset(c)
-        if sub & cset:
-            if not sub <= cset:
-                raise ValueError(f"subset {subset} straddles classes of {partition}")
-            if sub == cset:
-                return partition
-            out.append(tuple(sorted(sub)))
-            out.append(tuple(sorted(cset - sub)))
-        else:
-            out.append(c)
-    return canonical_partition(out)
-
-
 def validate(bundles, groups: GroupStructure, model: str = "lr") -> None:
     """Check cross-dataset consistency.
 
@@ -302,31 +282,42 @@ def equal_columns(block: np.ndarray) -> np.ndarray:
     return (block[:, :, None] == block[:, None, :]).all(axis=0)
 
 
-def block_partition(block: np.ndarray) -> Partition:
-    """Equality classes of the columns of a (rows, M) block, canonical.
-
-    Each column joins the class of the first column equal to it; a column
-    holding NaN equals no column, itself included, and stays alone.
-    """
-    classes: dict[int, list[int]] = {}
-    for m, row in enumerate(equal_columns(block).tolist()):
-        classes.setdefault(row.index(True) if row[m] else m, []).append(m)
-    return tuple(tuple(c) for c in classes.values())
-
-
-def partition_meet(a: Partition, b: Partition) -> Partition:
-    """Common refinement of two partitions of the same datasets, canonical.
-
-    Two datasets share a class of the result when they share one in both.
-    """
-    if len(a) == 1:
-        return b
-    label = {m: i for i, c in enumerate(a) for m in c}
-    classes: dict[tuple[int, int], list[int]] = {}
-    for j, c in enumerate(b):
+def partition_labels(partition: Partition) -> list[int]:
+    """Label row of a partition: entry m is the smallest member of m's class."""
+    labels = [0] * sum(map(len, partition))
+    for c in partition:
+        low = min(c)
         for m in c:
-            classes.setdefault((label[m], j), []).append(m)
-    return canonical_partition(classes.values())
+            labels[m] = low
+    return labels
+
+
+def label_classes(labels) -> Partition:
+    """The canonical partition of a label row (the inverse of ``partition_labels``)."""
+    classes: dict[int, list[int]] = {}
+    for m, c in enumerate(labels):
+        classes.setdefault(c, []).append(m)
+    return tuple(map(tuple, classes.values()))
+
+
+def block_labels(block: np.ndarray, labels=None) -> list[int]:
+    """Label row of the exact equality classes of the columns of a (rows, M)
+    block, met with the label row ``labels`` when one is given.
+
+    Two columns share a class when they are equal (and share a label); a
+    column holding NaN equals no column, itself included, and stays alone.
+    """
+    equal = [row.index(True) if row[m] else m
+             for m, row in enumerate(equal_columns(block).tolist())]
+    if labels is None:
+        return equal
+    first: dict[tuple[int, int], int] = {}
+    return [first.setdefault(pair, m) for m, pair in enumerate(zip(labels, equal))]
+
+
+def block_partition(block: np.ndarray) -> Partition:
+    """Equality classes of the columns of a (rows, M) block, canonical."""
+    return label_classes(block_labels(block))
 
 
 def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tuple[bool, ...], ...]:
@@ -339,10 +330,7 @@ def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tupl
 
 
 def partition_refresh(state: CoefficientState, groups: GroupStructure) -> CoefficientState:
-    """Recompute equality classes by exact element-wise block comparison.
-
-    Test-side cross-check for the incrementally maintained partitions.
-    """
+    """Recompute equality classes by exact element-wise block comparison."""
     parts = [block_partition(state.beta[groups.indices(k), :]) for k in range(groups.K)]
     return CoefficientState(beta=state.beta, partitions=parts, iteration=state.iteration)
 

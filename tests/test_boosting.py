@@ -10,8 +10,10 @@ import oracles
 from cdboost import boosting, losses, simulate
 from cdboost.boosting import (
     _path,
+    _split,
     _SubsetTasks,
     _sparsity_change,
+    _unequal,
     cd_sboost_fit,
     fit,
     int_sboost_fit,
@@ -26,7 +28,9 @@ from cdboost.data import (
     GroupStructure,
     all_common_partition,
     canonical_partition,
+    label_classes,
     ValidationError,
+    partition_labels,
     partition_refresh,
     standardize_columns,
 )
@@ -303,6 +307,47 @@ def test_fit_dispatch(lr_problem):
         assert res.beta_hat.shape == (6, 3)
 
 
+# class label rows ------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=st.integers(1, 6), mode=st.sampled_from(["all_pairs", "ordered"]), data=st.data())
+def test_label_rows_match_partition_oracles(M, mode, data):
+    """The split rule, the pair count and every split cost of the candidate
+    table agree with the literal partition oracles on random partitions."""
+    K = data.draw(st.integers(1, 3))
+    draws = data.draw(st.lists(st.lists(st.integers(0, M - 1), min_size=M, max_size=M),
+                               min_size=K, max_size=K))
+    parts = [canonical_partition(
+        [[m for m in range(M) if lab[m] == c] for c in set(lab)]) for lab in draws]
+    labels = [partition_labels(pt) for pt in parts]
+    assert [label_classes(row) for row in labels] == parts
+    assert int(_unequal(labels, mode).sum()) == sum(
+        oracles.unequal_pairs(pt, M, mode) for pt in parts)
+
+    pen_scale = 0.3
+    assignment = np.repeat(np.arange(K), 2)
+    tasks = _SubsetTasks(labels, assignment, np.ones((M, 2 * K)), np.ones(M), mode, pen_scale)
+    for i, A in enumerate(tasks.subsets):
+        for k, pt in enumerate(parts):
+            inside = any(set(A) <= set(c) for c in pt)
+            assert tasks.invalid_sp[i, 2 * k] == (not inside)
+            if inside:
+                added = (oracles.unequal_pairs(oracles.split(pt, A), M, mode)
+                         - oracles.unequal_pairs(pt, M, mode))
+                assert tasks.dsplit_sp[i, 2 * k] == pen_scale * added
+
+    k = data.draw(st.integers(0, K - 1))
+    cls = data.draw(st.sampled_from(parts[k]))
+    A = tuple(sorted(data.draw(st.lists(st.sampled_from(cls), min_size=1, unique=True))))
+    g = data.draw(st.sampled_from([0.0, -0.5, 1.25]))
+    want = parts[k] if g == 0.0 else tuple(oracles.split(parts[k], A))
+    assert _split(labels, k, A, g) == (want != parts[k])
+    assert labels[k] == partition_labels(want)
+    assert [label_classes(row) for j, row in enumerate(labels) if j != k] == \
+        [pt for j, pt in enumerate(parts) if j != k]
+
+
 # the per-subset sparsity term -------------------------------------------------
 
 
@@ -329,7 +374,7 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
         for cls in part:
             beta[np.ix_(rows, cls)] = rng.choice(values, size=(rows.size, 1))
     col_norms = rng.uniform(0.5, 2.0, size=(M, p))
-    tasks = _SubsetTasks(parts, M, assignment, col_norms, pf, mode, 0.1)
+    tasks = _SubsetTasks(list(map(partition_labels, parts)), assignment, col_norms, pf, mode, 0.1)
     # increments that sometimes zero a coefficient or leave it unchanged
     gamma = rng.choice(np.concatenate([-values, values]), size=(len(tasks.subsets), p))
 
@@ -487,7 +532,7 @@ def test_oracles_import_no_fitting_internals():
                 if any(name == f or name.startswith(f + ".") for f in forbidden)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not used & {"_class_containing", "_nonempty_subsets"}
+    assert not used & {"_split", "_unequal", "_nonempty_subsets"}
 
 
 def test_reference_code_not_in_package():
@@ -499,6 +544,9 @@ def test_reference_code_not_in_package():
         assert not hasattr(boosting, name) and not hasattr(losses, name)
     assert not hasattr(CoefficientState, "initial")
     assert not hasattr(boosting, "PenaltySpec")
+    for name in ("_unequal_pairs", "_split_delta", "_class_containing"):
+        assert not hasattr(boosting, name)
+    assert not hasattr(cdboost.data, "split_class") and not hasattr(cdboost.data, "partition_meet")
     for name in ("gen_small_example", "true_covariance", "load_truth"):
         assert not hasattr(simulate, name)
 

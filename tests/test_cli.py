@@ -315,12 +315,23 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("csv-not-utf8", 2),
     ("tsv-not-utf8", 2),
     ("config-not-utf8", 2),
+    ("fit-grid-empty", 2),
+    ("fit-grid-empty-in-config", 2),
+    ("fit-grid-non-numeric", 2),
+    ("simulate-rho-non-numeric", 2),
+    ("benchmark-rho-two-values", 2),
+    ("fit-workers-negative", 3),
+    ("benchmark-workers-zero", 3),
+    ("stability-workers-zero-in-config", 3),
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     paths, groups = _write_problem(tmp_path, rng)
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("y,x1\n1.0,café\n".encode("latin-1"))
     outdir = ["--outdir", str(tmp_path / "sim")]
+    (tmp_path / "grid.cfg").write_text("grid =\n")
+    (tmp_path / "workers.cfg").write_text("workers = 0\n")
+    fit = ["fit", "--data", *paths, "--groups", groups, "--iters", "5"]
     argv = {
         "simulate-rho-nan": [*_SIM, *outdir, "--rho", "0.8,0.2,nan"],
         "benchmark-rho-nan": [*_BENCH, "--rho", "0.8,0.2,nan"],
@@ -335,6 +346,16 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "tsv-not-utf8": ["fit", "--data", *paths, "--groups", str(bad)],
         "config-not-utf8": ["fit", "--data", *paths, "--groups", groups,
                             "--config", str(bad)],
+        "fit-grid-empty": [*fit, "--grid", ""],
+        "fit-grid-empty-in-config": [*fit, "--config", str(tmp_path / "grid.cfg")],
+        "fit-grid-non-numeric": [*fit, "--grid", "0,abc"],
+        "simulate-rho-non-numeric": [*_SIM, *outdir, "--rho", "a,b,c"],
+        "benchmark-rho-two-values": [*_BENCH, "--rho", "0.5,0.5"],
+        "fit-workers-negative": [*fit, "--lambda", "1", "--workers", "-3"],
+        "benchmark-workers-zero": [*_BENCH, "--workers", "0"],
+        "stability-workers-zero-in-config": ["stability", "--data", *paths, "--groups", groups,
+                                             "--splits", "2", "--iters", "5",
+                                             "--config", str(tmp_path / "workers.cfg")],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err
@@ -465,7 +486,7 @@ def test_benchmark_cli_round_trip(tmp_path, capsys):
 
 def test_benchmark_rejects_bad_rho(tmp_path):
     assert main(["benchmark", "--rho", "0.5,0.5", "--seed", "1",
-                 "--replicates", "1"]) == 3
+                 "--replicates", "1"]) == 2
 
 
 def test_benchmark_requires_seed():

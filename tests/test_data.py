@@ -16,16 +16,18 @@ from cdboost.data import (
     _run_in_order,
     adjacent_equal_pairs,
     all_common_partition,
+    block_labels,
     block_partition,
     canonical_partition,
     CoefficientState,
     equal_columns,
+    label_classes,
     load_dataset_csv,
+    partition_labels,
     partition_refresh,
     read_dataset_csv,
     read_groups_tsv,
     singleton_partitions,
-    split_class,
     standardize_columns,
     validate,
     write_dataset_csv,
@@ -117,17 +119,6 @@ def test_canonical_partition_sorts():
     assert canonical_partition([(2, 1), (0,)]) == ((0,), (1, 2))
 
 
-def test_split_class_proper_subset():
-    part = ((0, 1, 2),)
-    assert split_class(part, (1,)) == ((0, 2), (1,))
-    assert split_class(((0, 1), (2,)), (0,)) == ((0,), (1,), (2,))
-
-
-def test_split_class_rejects_non_subset():
-    with pytest.raises(ValueError):
-        split_class(((0, 1), (2,)), (1, 2))
-
-
 def test_partition_refresh_zero_beta_all_common():
     groups = tiny_groups(6, 2)
     state = CoefficientState(beta=np.zeros((6, 3)), partitions=[], iteration=0)
@@ -160,6 +151,10 @@ def test_block_partition_exact_comparison():
     # -0.0 equals 0.0; a NaN column equals nothing and stays alone
     assert block_partition(block) == ((0, 1), (2,), (3,), (4,))
     assert block_partition(np.empty((0, 3))) == ((0, 1, 2),)
+    # met with starting labels: equal columns in different classes stay apart
+    assert block_labels(block, [0, 1, 2, 2, 2]) == [0, 1, 2, 3, 4]
+    assert block_labels(np.zeros((2, 4)), partition_labels(((0, 3), (1, 2)))) == [0, 1, 1, 0]
+    assert label_classes([0, 1, 1, 0]) == ((0, 3), (1, 2))
 
 
 def test_adjacent_equal_pairs():
