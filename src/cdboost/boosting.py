@@ -359,6 +359,17 @@ def pool_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> Fit
     )
 
 
+def _check_starting_classes(partitions, M: int, K: int) -> None:
+    """Raise ``ValidationError`` unless there is one partition per group and
+    each holds every dataset 0..M-1 in exactly one non-empty class."""
+    if len(partitions) != K:
+        raise ValidationError(f"initial_partitions has {len(partitions)} entries for {K} groups")
+    for k, pt in enumerate(partitions):
+        if not all(pt) or sorted(m for c in pt for m in c) != list(range(M)):
+            raise ValidationError(f"initial_partitions[{k}] = {pt!r} does not hold each of "
+                                  f"datasets 0..{M - 1} in exactly one class")
+
+
 def cd_sboost_fit(
     bundles,
     groups: GroupStructure,
@@ -376,9 +387,10 @@ def cd_sboost_fit(
     reduces exactly to ``sboost_fit``.
 
     ``initial_partitions`` overrides the all-common starting classes (used
-    in tests); ``verify_partitions`` cross-checks the tracked classes at
-    every iteration against their expected value, the common refinement of
-    the starting classes and element-wise block comparison.
+    in tests; one partition of the M datasets per group);
+    ``verify_partitions`` cross-checks the tracked classes at every
+    iteration against their expected value, the common refinement of the
+    starting classes and element-wise block comparison.
     """
     bundles = list(bundles)
     validate(bundles, groups, config.model)
@@ -386,6 +398,8 @@ def cd_sboost_fit(
     M = ctx.M
     if initial_partitions is None:
         initial_partitions = [all_common_partition(M)] * groups.K
+    else:
+        _check_starting_classes(initial_partitions, M, groups.K)
     path = _path(ctx, groups, config, initial_partitions, verify_partitions)
     loss = sum(path.loss)
     trace = loss + sum(path.sparsity) + path.penalty

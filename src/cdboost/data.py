@@ -15,10 +15,16 @@ with the starting classes) for the cd fit, ``partition_refresh`` for the
 separate fits and for output checks.  Every exact block comparison in the
 package goes through ``equal_columns``.
 
+A bundle owns its arrays.  The CSV reader parses each row into one
+float64 table and copies ``y`` and ``delta`` out of it; ``X`` is the
+standardized copy or, with standardization off, a view of that table,
+which no other object holds.  Dropping a bundle frees all that was loaded.
+
 ``_run_in_order`` is the one place where independent jobs (grid values,
 benchmark replicates, stability splits) fan out to worker processes.
 """
 
+import array
 import collections
 import concurrent.futures
 import csv
@@ -391,7 +397,9 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
     """Strictly parse one dataset CSV; returns (X, y, delta, covariate names).
 
     No standardization is applied here; values are returned exactly as
-    written (bit-identical round trip with ``write_dataset_csv``).
+    written (bit-identical round trip with ``write_dataset_csv``).  Each row
+    goes into one float64 table as it is read; ``X`` is a view of that table,
+    while ``y`` and ``delta`` are copies, so only ``X`` keeps it alive.
     """
     reader = _csv_rows(path)
     try:
@@ -404,7 +412,12 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
     names = header[2:] if has_delta else header[1:]
     if not names:
         raise ParseError(f"{path}: no covariate columns")
-    rows = []
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ParseError(f"{path}: covariate {name!r} appears twice in the header")
+        seen.add(name)
+    table = array.array("d")
     for i, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
@@ -417,11 +430,11 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
         # overflows passes it unchanged)
         if values is None or not math.isfinite(sum(values)):
             values = [_parse_float(c, f"{path}:{i}") for c in row]
-        rows.append(values)
-    if not rows:
+        table.fromlist(values)
+    if not table:
         raise ParseError(f"{path}: no data rows")
-    data = np.asarray(rows)
-    y = data[:, 0]
+    data = np.frombuffer(table).reshape(-1, len(header))
+    y = data[:, 0].copy()
     if has_delta:
         delta = data[:, 1]
         if not np.isin(delta, (0.0, 1.0)).all():
@@ -432,15 +445,23 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
 
 def standardize_columns(X: np.ndarray) -> np.ndarray:
     """Center to mean 0 and scale to unit variance; constant columns are
-    centered only."""
+    centered only.  Returns a new array; ``X`` is left as it is."""
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
-    return (X - mu) / sd
+    # the same IEEE operations as (X - mu) / sd, without a second n x p temporary
+    out = X - mu
+    out /= sd
+    return out
 
 
 def load_dataset_csv(path, id: int = 0, standardize: bool = True) -> tuple[DatasetBundle, list[str]]:
-    """Load and (by default) standardize one dataset CSV."""
+    """Load and (by default) standardize one dataset CSV.
+
+    The bundle owns its arrays: with ``standardize`` its ``X`` is a new
+    array and the parsed table is freed on return; without, ``X`` is a view
+    of the parsed table, which nothing else holds.
+    """
     X, y, delta, names = read_dataset_csv(path)
     if standardize:
         X = standardize_columns(X)

@@ -281,6 +281,22 @@ def test_cd_initial_partitions_override(rng):
     assert all(len(c) == 1 for part in res.partitions for c in part)
 
 
+@pytest.mark.parametrize("initial", [
+    [((0, 1),)] * 2,            # dataset 2 in no class
+    [((0, 1), (1, 2))] * 2,     # dataset 1 in two classes
+    [((0, 1, 3),)] * 2,         # no dataset 3
+    [((0, 1, 2), ())] * 2,      # an empty class
+    [((0, 1, 2),)],             # one entry for two groups
+    [((0, 1, 2),)] * 3,         # three entries for two groups
+])
+def test_cd_rejects_malformed_initial_partitions(rng, initial):
+    bundles = make_lr_bundles(rng, M=3, n=30, p=4)
+    groups = tiny_groups(4, 2)
+    with pytest.raises(ValidationError, match="initial_partitions"):
+        cd_sboost_fit(bundles, groups, BoostConfig(T=10, model="lr"),
+                      initial_partitions=initial)
+
+
 def test_cd_deterministic_across_calls(rng):
     bundles = make_lr_bundles(rng, M=3, n=30, p=6)
     groups = tiny_groups(6, 2)

@@ -323,6 +323,7 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("fit-workers-negative", 3),
     ("benchmark-workers-zero", 3),
     ("stability-workers-zero-in-config", 3),
+    ("csv-repeated-covariate", 2),
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     paths, groups = _write_problem(tmp_path, rng)
@@ -331,6 +332,8 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     outdir = ["--outdir", str(tmp_path / "sim")]
     (tmp_path / "grid.cfg").write_text("grid =\n")
     (tmp_path / "workers.cfg").write_text("workers = 0\n")
+    (tmp_path / "dup.csv").write_text("y,x1,x1,x2\n1.0,2.0,3.0,4.0\n2.0,1.0,0.0,1.5\n")
+    (tmp_path / "dup.tsv").write_text("x1\t1\nx2\t2\n")
     fit = ["fit", "--data", *paths, "--groups", groups, "--iters", "5"]
     argv = {
         "simulate-rho-nan": [*_SIM, *outdir, "--rho", "0.8,0.2,nan"],
@@ -356,6 +359,9 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "stability-workers-zero-in-config": ["stability", "--data", *paths, "--groups", groups,
                                              "--splits", "2", "--iters", "5",
                                              "--config", str(tmp_path / "workers.cfg")],
+        "csv-repeated-covariate": ["fit", "--data", str(tmp_path / "dup.csv"),
+                                   "--groups", str(tmp_path / "dup.tsv"), "--iters", "5",
+                                   "--lambda", "0"],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cdboost.data import (
     CoefficientState,
     equal_columns,
     label_classes,
+    load_bundles,
     load_dataset_csv,
     partition_labels,
     partition_refresh,
@@ -251,6 +253,14 @@ def test_csv_error_names_first_bad_cell(tmp_path, rows, message):
     assert str(err.value) == message.format(path=path)
 
 
+def test_csv_rejects_repeated_covariate(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("y,a,b,b,a\n1.0,2.0,3.0,4.0,5.0\n")
+    with pytest.raises(ParseError) as err:
+        read_dataset_csv(path)
+    assert str(err.value) == f"{path}: covariate 'b' appears twice in the header"
+
+
 def test_csv_huge_finite_values_are_kept(tmp_path):
     # the row sum overflows although every cell is finite
     path = tmp_path / "big.csv"
@@ -297,12 +307,15 @@ _CELLS = st.one_of(
 
 
 def _cell_by_cell(path):
-    """Every data row through ``_parse_float``, the first bad cell raising."""
+    """Every data row through ``_parse_float``, the first bad cell raising;
+    returns (X, y, delta) with ``X`` a view of the parsed table."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+        header, *rows = list(csv.reader(fh))
     data = np.asarray([[_parse_float(c, f"{path}:{i}") for c in row]
                        for i, row in enumerate(rows, start=2)])
-    return data[:, 1:], data[:, 0]
+    if header[1] == "delta":
+        return data[:, 2:], data[:, 0], data[:, 1].astype(int)
+    return data[:, 1:], data[:, 0], None
 
 
 @settings(max_examples=200, deadline=None)
@@ -376,3 +389,76 @@ def test_run_in_order_bounds_pool_and_window(monkeypatch, workers, n_jobs, stop)
     runs.close()
     assert taken == [j * j for j in range(stop or n_jobs)]
     assert [pool.max_workers for pool in made] == [window]
+
+
+# ---------------------------------------------------------------------------
+# loading: what a bundle holds and what the load path allocates
+# ---------------------------------------------------------------------------
+
+
+def _write_files(directory, rng, model, n, p, M=3):
+    paths = []
+    for m in range(M):
+        X = rng.normal(m, 1.0 + m, size=(n, p))
+        X[:, 0] = 2.5  # a constant column, centered only
+        delta = rng.integers(0, 2, size=n) if model == "aft" else None
+        path = directory / f"{model}_{m}.csv"
+        write_dataset_csv(path, X, rng.standard_normal(n), delta)
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("model", ["lr", "aft"])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_load_bundles_bit_identical_to_cell_by_cell(tmp_path, rng, model, standardize):
+    paths = _write_files(tmp_path, rng, model, n=30, p=7)
+    bundles, names = load_bundles(paths, standardize=standardize)
+    assert names == [f"x{j + 1}" for j in range(7)]
+    for b, path in zip(bundles, paths):
+        X, y, delta = _cell_by_cell(path)
+        if standardize:
+            sd = X.std(axis=0)
+            X = (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+            assert b.X.flags.c_contiguous
+        else:
+            # a view into the parsed table, laid out as it always was
+            assert b.X.strides == X.strides
+        assert (b.X.dtype, b.X.shape, b.X.tobytes()) == (X.dtype, X.shape, X.tobytes())
+        assert (b.y.dtype, b.y.tobytes()) == (y.dtype, y.tobytes())
+        if model == "aft":
+            assert (b.delta.dtype, b.delta.tobytes()) == (delta.dtype, delta.tobytes())
+        else:
+            assert b.delta is None and delta is None
+
+
+@pytest.fixture(scope="module")
+def wide_csvs(tmp_path_factory):
+    return _write_files(tmp_path_factory.mktemp("wide"), np.random.default_rng(3),
+                        "lr", n=200, p=1000)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_load_bundles_holds_only_what_it_returns(wide_csvs, standardize):
+    (bundles, _), peak = _traced_peak(load_bundles, wide_csvs, standardize=standardize)
+    assert peak <= 2 * sum(b.X.nbytes for b in bundles)
+    for b in bundles:
+        assert not np.shares_memory(b.y, b.X)
+        # a copy, so y does not keep the parsed (n, 1 + p) table alive
+        assert b.y.flags.owndata
+
+
+def test_standardize_holds_one_temporary(rng):
+    X = rng.standard_normal((200, 1000))
+    _, peak = _traced_peak(standardize_columns, X)
+    # one n x p array at a time (std's temporary, then the result);
+    # (X - mu) / sd would hold two at once
+    assert peak < 1.5 * X.nbytes
