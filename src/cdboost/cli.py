@@ -4,7 +4,8 @@ All machine-readable output is JSON with sorted keys; every payload is
 validated against a schema shipped with the package before it is written,
 so two runs with the same configuration and seed emit byte-identical files
 regardless of worker count.  Exit codes: 2 malformed input file, 3 invalid
-configuration or inconsistent data, 4 numeric failure.
+configuration, inconsistent data or a path that cannot be opened or
+created, 4 numeric failure.
 """
 
 import argparse
@@ -430,7 +431,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValidationError, OSError) as exc:
+        # OSError: a given path that cannot be opened or created (missing,
+        # a directory, or under a regular file)
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

@@ -517,21 +517,37 @@ def read_groups_tsv(path, names: list[str]) -> GroupStructure:
 def write_dataset_csv(path, X: np.ndarray, y: np.ndarray, delta=None, names=None):
     """Write one dataset in the CSV format accepted by ``read_dataset_csv``.
 
-    Floats are written with full repr precision so a reload is bit-identical.
+    Each float is written as its shortest round-trip ``repr``, so a reload
+    is bit-identical.  What the reader would reject, a non-finite ``X`` or
+    ``y`` or a ``delta`` other than 0/1, raises ``ValidationError`` before
+    the file is opened.
+
+    Only the header goes through ``csv.writer``, as a covariate name may
+    need quoting.  A data row is joined directly: a float's repr holds no
+    comma, quote, CR or LF, so ``csv.writer`` never quoted a data cell, and
+    its line terminator is ``"\\r\\n"``.
     """
-    p = X.shape[1]
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValidationError(f"{path}: X of shape {X.shape} and y of shape {y.shape} "
+                              "are not n x p and n")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValidationError(f"{path}: X and y must be finite")
+    if delta is not None:
+        delta = np.asarray(delta)
+        if delta.shape != y.shape or not np.isin(delta, (0, 1)).all():
+            raise ValidationError(f"{path}: delta must hold one 0 or 1 per row")
     if names is None:
-        names = [f"x{j + 1}" for j in range(p)]
+        names = [f"x{j + 1}" for j in range(X.shape[1])]
     header = ["y"] + (["delta"] if delta is not None else []) + list(names)
+    lead = [repr(v) for v in y.tolist()]
+    if delta is not None:
+        lead = [f"{cell},{int(d)}" for cell, d in zip(lead, delta.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(X.shape[0]):
-            row = [repr(float(y[i]))]
-            if delta is not None:
-                row.append(str(int(delta[i])))
-            row.extend(repr(float(v)) for v in X[i])
-            w.writerow(row)
+        csv.writer(fh).writerow(header)
+        for cell, row in zip(lead, X):
+            fh.write(",".join([cell, *map(repr, row.tolist())]) + "\r\n")
 
 
 def write_groups_tsv(path, groups: GroupStructure, names=None):

@@ -6,6 +6,7 @@ fitting internals (``cdboost.boosting``, ``cdboost.losses``,
 ``cdboost.tuning``). Slow on purpose.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -423,6 +424,25 @@ def gen_small_example(seed=0, replicate=0, model="lr"):
                       scenarios=("full", "none", "partial_a", "partial_b"))
     bundles, _ = simulate_replicate(design, replicate, truth=truth)
     return bundles, truth, design
+
+
+def write_dataset_csv_cellwise(path, X, y, delta=None, names=None):
+    """The dataset CSV as ``csv.writer`` writes it, one cell at a time:
+    ``repr(float(...))`` of each numpy scalar, ``str(int(...))`` of each
+    event indicator."""
+    p = X.shape[1]
+    if names is None:
+        names = [f"x{j + 1}" for j in range(p)]
+    header = ["y"] + (["delta"] if delta is not None else []) + list(names)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i in range(X.shape[0]):
+            row = [repr(float(y[i]))]
+            if delta is not None:
+                row.append(str(int(delta[i])))
+            row.extend(repr(float(v)) for v in X[i])
+            w.writerow(row)
 
 
 def load_truth(path):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files in, JSON out, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -56,6 +57,38 @@ def test_simulate_byte_identical_across_runs(tmp_path):
     for name in ("dataset_1.csv", "dataset_2.csv", "dataset_3.csv",
                  "groups.tsv", "truth.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# sha256 of every file `cdboost simulate --preset reduced --seed 1` writes,
+# recorded with the cell-by-cell csv.writer writer (now
+# oracles.write_dataset_csv_cellwise) before data rows were joined directly
+_REDUCED_SEED1_SHA256 = {
+    "lr": {
+        "dataset_1.csv": "d3700af0101ef0b80155c85f8cb83a7d18f801c6824db99d78bd1c9f104c0661",
+        "dataset_2.csv": "adf38ce09ec7917df49f7f33bbd3233ba1deed10a14c9bd8ed2b33530bbbee98",
+        "dataset_3.csv": "baec3177dec1c8a79cef63dfacd01cd339b89c356ae9540207724b53a04164e9",
+        "groups.tsv": "cdb0f088e55e085894f71168aff1816ce2c713ccc26658a442fa0560cbb99f00",
+        "truth.json": "35192ab2067ad6067d19f464d7f2b10909237b75df80251f03da2ce57ac56c2b",
+    },
+    "aft": {
+        "dataset_1.csv": "391ea9473362c01cfdeeab2ca1a1017d9776633f7ec266038d48f0b53ea01d7e",
+        "dataset_2.csv": "3c12c4ce0737b76f8117a060d3780e3d56a1ebebecd83b2dab8ceab2635bc762",
+        "dataset_3.csv": "39d4b84b75b8c06fa0e5b76d0abb9f392a9511b3ae97917e6cae533e0b0cdf4c",
+        "groups.tsv": "cdb0f088e55e085894f71168aff1816ce2c713ccc26658a442fa0560cbb99f00",
+        "truth.json": "4cfe9bf5dfe3051db2061f693eb6c90caafbc6ce6f0b495774b4ac6a165ffe02",
+    },
+}
+
+
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_simulate_bytes_pinned(tmp_path, capsys, model):
+    out = tmp_path / model
+    assert main(["simulate", "--preset", "reduced", "--model", model, "--seed", "1",
+                 "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.iterdir())}
+    assert got == _REDUCED_SEED1_SHA256[model]
 
 
 def test_simulate_design_flag_sets_scheme_and_noise(tmp_path):
@@ -324,6 +357,9 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("benchmark-workers-zero", 3),
     ("stability-workers-zero-in-config", 3),
     ("csv-repeated-covariate", 2),
+    ("simulate-outdir-is-file", 3),
+    ("simulate-outdir-under-file", 3),
+    ("fit-output-under-file", 3),
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     paths, groups = _write_problem(tmp_path, rng)
@@ -334,6 +370,8 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     (tmp_path / "workers.cfg").write_text("workers = 0\n")
     (tmp_path / "dup.csv").write_text("y,x1,x1,x2\n1.0,2.0,3.0,4.0\n2.0,1.0,0.0,1.5\n")
     (tmp_path / "dup.tsv").write_text("x1\t1\nx2\t2\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
     fit = ["fit", "--data", *paths, "--groups", groups, "--iters", "5"]
     argv = {
         "simulate-rho-nan": [*_SIM, *outdir, "--rho", "0.8,0.2,nan"],
@@ -362,6 +400,9 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "csv-repeated-covariate": ["fit", "--data", str(tmp_path / "dup.csv"),
                                    "--groups", str(tmp_path / "dup.tsv"), "--iters", "5",
                                    "--lambda", "0"],
+        "simulate-outdir-is-file": [*_SIM, "--outdir", str(plain)],
+        "simulate-outdir-under-file": [*_SIM, "--outdir", str(plain / "sub")],
+        "fit-output-under-file": [*fit, "--lambda", "0", "--output", str(plain / "x.json")],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err

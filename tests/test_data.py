@@ -37,6 +37,7 @@ from cdboost.data import (
 )
 
 from conftest import make_lr_bundles, tiny_groups
+from oracles import write_dataset_csv_cellwise
 
 
 def test_bundle_rejects_mismatched_lengths():
@@ -292,6 +293,72 @@ def test_groups_tsv_rejects_unknown_covariate(tmp_path):
     path.write_text("x1\t0\nx9\t1\n")
     with pytest.raises(ValidationError):
         read_groups_tsv(path, ["x1", "x2"])
+
+
+# ---------------------------------------------------------------------------
+# CSV writing: the row-joining writer against the cell-by-cell csv.writer
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1.0, -3.0, 1e22, 123456789.0]
+_ELEMENTS = {
+    "float64": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from(_EDGE_FLOATS)),
+    "float32": st.floats(width=32, allow_nan=False, allow_infinity=False),
+    "int64": st.integers(-2**63, 2**63 - 1),
+}
+# names csv.writer must quote, and plain ones; "delta" would read as the
+# event column
+_NAMES = st.one_of(st.sampled_from(["a,b", 'q"t', " lead", "trail ", "x1", "é", "a\tb",
+                                    "l\nf", "c\rr"]),
+                   st.text(alphabet='ab ,"\'', min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 20), p=st.integers(1, 20),
+       dtype=st.sampled_from(sorted(_ELEMENTS)), with_delta=st.booleans(),
+       default_names=st.booleans())
+def test_csv_writer_matches_cellwise_csv_writer(tmp_path_factory, data, n, p, dtype,
+                                                with_delta, default_names):
+    elements = _ELEMENTS[dtype]
+    X = np.array(data.draw(st.lists(st.lists(elements, min_size=p, max_size=p),
+                                    min_size=n, max_size=n)), dtype=dtype).reshape(n, p)
+    y = np.array(data.draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+    delta = (np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+             if with_delta else None)
+    names = None if default_names else data.draw(
+        st.lists(_NAMES.filter(lambda name: name != "delta"), min_size=p, max_size=p,
+                 unique=True))
+    base = tmp_path_factory.getbasetemp()
+    want, got = base / "cellwise.csv", base / "joined.csv"
+    write_dataset_csv_cellwise(want, X, y, delta, names)
+    write_dataset_csv(got, X, y, delta, names)
+    assert got.read_bytes() == want.read_bytes()
+    X2, y2, delta2, names2 = read_dataset_csv(got)
+    assert X2.tobytes() == np.asarray(X, dtype=float).tobytes()
+    assert y2.tobytes() == np.asarray(y, dtype=float).tobytes()
+    assert names2 == (names or [f"x{j + 1}" for j in range(p)])
+    if with_delta:
+        assert delta2.tolist() == delta.tolist()
+    else:
+        assert delta2 is None
+
+
+@pytest.mark.parametrize("X, y, delta", [
+    ([[1.0, np.nan], [2.0, 3.0]], [1.0, 2.0], None),
+    ([[1.0, 2.0], [np.inf, 3.0]], [1.0, 2.0], None),
+    ([[1.0, 2.0], [2.0, 3.0]], [1.0, -np.inf], None),
+    ([[1.0, 2.0], [2.0, 3.0]], [1.0, 2.0], [1, 2]),
+    ([[1.0, 2.0], [2.0, 3.0]], [1.0, 2.0], [1.0, 0.5]),
+    ([[1.0, 2.0], [2.0, 3.0]], [1.0, 2.0], [1]),  # delta shorter than y
+    ([[1.0, 2.0], [2.0, 3.0]], [1.0], None),  # y shorter than X
+    ([1.0, 2.0], [1.0, 2.0], None),  # X not a table
+])
+def test_csv_writer_refuses_bad_arrays(tmp_path, X, y, delta):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValidationError):
+        write_dataset_csv(path, np.array(X), np.array(y), delta)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
