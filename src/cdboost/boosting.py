@@ -335,12 +335,24 @@ def sboost_fit(bundle: DatasetBundle, groups: GroupStructure, config: BoostConfi
 
 
 def _pooled_bundle(bundles) -> DatasetBundle:
-    X = np.vstack([b.X for b in bundles])
+    """All datasets' rows as one bundle.  LR stacks them in dataset order.
+    AFT writes each dataset's rows once, straight to their places in the
+    stable survival order of the stacked rows, which is the order
+    ``build_context`` sorts them in; it then finds them sorted and makes
+    no second copy."""
     y = np.concatenate([b.y for b in bundles])
-    delta = None
-    if bundles[0].delta is not None:
-        delta = np.concatenate([b.delta for b in bundles])
-    return DatasetBundle(X=X, y=y, delta=delta, id=0)
+    if bundles[0].delta is None:
+        return DatasetBundle(X=np.vstack([b.X for b in bundles]), y=y, id=0)
+    delta = np.concatenate([b.delta for b in bundles])
+    order = np.lexsort((1 - delta, y))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    X = np.empty((y.size, bundles[0].p))
+    start = 0
+    for b in bundles:
+        X[rank[start:start + b.n]] = b.X
+        start += b.n
+    return DatasetBundle(X=X, y=y[order], delta=delta[order], id=0)
 
 
 def pool_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:

@@ -92,6 +92,17 @@ def _emit(payload: dict, schema_name: str, path: str | None):
         sys.stdout.write(text)
 
 
+def _check_outputs(*paths):
+    """Refuse, before any fitting, an output path that cannot be created:
+    one whose directory does not exist or that is itself a directory."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValidationError(f"{path}: no directory {parent!r} to write it in")
+        if os.path.isdir(path):
+            raise ValidationError(f"{path}: is a directory")
+
+
 def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -235,6 +246,7 @@ def _design_from_args(args) -> SimDesign:
 
 
 def cmd_fit(args) -> int:
+    _check_outputs(args.output)
     bundles, groups, model = _load_problem(args)
     method = canonical_method(args.method)
     config = _boost_config(args, method, model)
@@ -287,6 +299,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    _check_outputs(args.output, args.table)
     design = _design_from_args(args)
     methods = _methods(args)
     for m in methods:
@@ -305,6 +318,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _check_outputs(args.output)
     bundles, groups, model = _load_problem(args)
     methods = _methods(args)
     config = _boost_config(args, "cd_sboost", model)

@@ -15,10 +15,13 @@ with the starting classes) for the cd fit, ``partition_refresh`` for the
 separate fits and for output checks.  Every exact block comparison in the
 package goes through ``equal_columns``.
 
-A bundle owns its arrays.  The CSV reader parses each row into one
-float64 table and copies ``y`` and ``delta`` out of it; ``X`` is the
-standardized copy or, with standardization off, a view of that table,
-which no other object holds.  Dropping a bundle frees all that was loaded.
+A bundle owns its arrays.  The CSV reader puts the covariate cells of
+each row into one float64 table and collects ``y`` and ``delta`` apart;
+``X`` is a view of that table, standardized in place, which no other
+object holds.  Dropping a bundle frees all that was loaded.  Column means,
+standard deviations and norms are taken one block of columns at a time
+(``_by_column_blocks``), with the bits of numpy's whole-array reductions,
+so no stage holds a second n x p array.
 
 ``_run_in_order`` is the one place where independent jobs (grid values,
 benchmark replicates, stability splits) fan out to worker processes.
@@ -397,9 +400,10 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
     """Strictly parse one dataset CSV; returns (X, y, delta, covariate names).
 
     No standardization is applied here; values are returned exactly as
-    written (bit-identical round trip with ``write_dataset_csv``).  Each row
-    goes into one float64 table as it is read; ``X`` is a view of that table,
-    while ``y`` and ``delta`` are copies, so only ``X`` keeps it alive.
+    written (bit-identical round trip with ``write_dataset_csv``).  The
+    covariate cells of each row go into one float64 table as it is read and
+    ``X`` is a C-contiguous view of that table; ``y`` and ``delta`` are
+    collected apart from it.
     """
     reader = _csv_rows(path)
     try:
@@ -409,7 +413,8 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
     if not header or header[0] != "y":
         raise ParseError(f"{path}: first column must be 'y'")
     has_delta = len(header) > 1 and header[1] == "delta"
-    names = header[2:] if has_delta else header[1:]
+    lead = 2 if has_delta else 1
+    names = header[lead:]
     if not names:
         raise ParseError(f"{path}: no covariate columns")
     seen = set()
@@ -418,6 +423,7 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
             raise ParseError(f"{path}: covariate {name!r} appears twice in the header")
         seen.add(name)
     table = array.array("d")
+    ys, deltas = [], []
     for i, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ParseError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
@@ -430,27 +436,57 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
         # overflows passes it unchanged)
         if values is None or not math.isfinite(sum(values)):
             values = [_parse_float(c, f"{path}:{i}") for c in row]
-        table.fromlist(values)
+        ys.append(values[0])
+        if has_delta:
+            deltas.append(values[1])
+        table.fromlist(values[lead:])
     if not table:
         raise ParseError(f"{path}: no data rows")
-    data = np.frombuffer(table).reshape(-1, len(header))
-    y = data[:, 0].copy()
+    X = np.frombuffer(table).reshape(-1, len(names))
+    y = np.array(ys)
     if has_delta:
-        delta = data[:, 1]
+        delta = np.array(deltas)
         if not np.isin(delta, (0.0, 1.0)).all():
             raise ParseError(f"{path}: delta column must contain only 0/1")
-        return data[:, 2:], y, delta.astype(int), names
-    return data[:, 1:], y, None, names
+        return X, y, delta.astype(int), names
+    return X, y, None, names
 
 
-def standardize_columns(X: np.ndarray) -> np.ndarray:
+# Column blocks hold at most this many elements (128 KiB of float64), so a
+# reduction over the rows of an n x p array makes only bounded temporaries.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _by_column_blocks(reduce, X: np.ndarray) -> np.ndarray:
+    """``reduce(X, axis=0)`` of a float64 ``X`` with the same bits, applied
+    to blocks of adjacent columns of at most ``max(2, _BLOCK_ELEMENTS // n)``
+    columns.
+
+    No block is one column wide unless X is: numpy reduces a lone column
+    pairwise but several columns of a row-major array row by row, so such
+    a block would round differently from the whole array.  A one-column
+    tail therefore starts one column early; that column is computed twice,
+    with the same bits.
+    """
+    n, p = X.shape
+    width = max(2, _BLOCK_ELEMENTS // max(n, 1))
+    out = np.empty(p)
+    for j0 in range(0, p, width):
+        j1 = min(j0 + width, p)
+        cols = slice(max(0, min(j0, j1 - 2)), j1)
+        out[cols] = reduce(X[:, cols], axis=0)
+    return out
+
+
+def standardize_columns(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Center to mean 0 and scale to unit variance; constant columns are
-    centered only.  Returns a new array; ``X`` is left as it is."""
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
+    centered only.  The result goes into ``out``, which may be ``X`` itself
+    (standardizing in place), or into a new array; either is returned."""
+    mu = _by_column_blocks(np.mean, X)
+    sd = _by_column_blocks(np.std, X)  # one block's deviations at a time
     sd = np.where(sd > 0, sd, 1.0)
-    # the same IEEE operations as (X - mu) / sd, without a second n x p temporary
-    out = X - mu
+    # the same IEEE operations as (X - mu) / sd
+    out = np.subtract(X, mu, out=out)
     out /= sd
     return out
 
@@ -458,13 +494,13 @@ def standardize_columns(X: np.ndarray) -> np.ndarray:
 def load_dataset_csv(path, id: int = 0, standardize: bool = True) -> tuple[DatasetBundle, list[str]]:
     """Load and (by default) standardize one dataset CSV.
 
-    The bundle owns its arrays: with ``standardize`` its ``X`` is a new
-    array and the parsed table is freed on return; without, ``X`` is a view
-    of the parsed table, which nothing else holds.
+    The bundle owns its arrays: ``X`` is the parsed covariate table,
+    standardized in place unless ``standardize`` is off, and nothing else
+    holds it; ``y`` and ``delta`` are arrays of their own.
     """
     X, y, delta, names = read_dataset_csv(path)
     if standardize:
-        X = standardize_columns(X)
+        standardize_columns(X, out=X)
     return DatasetBundle(X=X, y=y, delta=delta, id=id), names
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetBundle, ValidationError
+from .data import DatasetBundle, ValidationError, _by_column_blocks
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,34 @@ def km_weights(y_sorted: np.ndarray, delta_sorted: np.ndarray) -> np.ndarray:
     return w
 
 
+def _col_norms(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_is^2 for each column s: the bits of
+    ``(w[:, None] * X * X).sum(axis=0)``, one column block at a time."""
+    def weighted_squares(block, axis):
+        out = w[:, None] * block
+        out *= block
+        return out.sum(axis=axis)
+
+    return _by_column_blocks(weighted_squares, X)
+
+
 def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
-    """Precompute weights and column norms for a list of validated bundles."""
+    """Precompute weights and column norms for a list of validated bundles.
+
+    No n x p array is made beyond a survival-sorted ``X``: under LR the
+    context holds the bundle's own ``X``; under AFT it holds the rows
+    sorted by observed log-time, or, when they already are in that order,
+    the bundle's ``X`` itself (a copy only if it is not C-contiguous).
+    Column norms are summed one column block at a time.
+    """
     Xs, ys, ws, norms, n_obs, n_events, pf = [], [], [], [], [], [], []
     for b in bundles:
         n = b.n
         if model == "aft":
             # events before censored on ties, stable within
             order = np.lexsort((1 - b.delta, b.y))
-            X = np.ascontiguousarray(b.X[order])
+            in_order = (order == np.arange(n)).all()
+            X = np.ascontiguousarray(b.X if in_order else b.X[order])
             y = b.y[order]
             w = km_weights(y, b.delta[order])
             n_events.append(int(b.delta.sum()))
@@ -86,7 +105,7 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
             X, y = b.X, b.y
             w = np.full(n, 1.0 / n)
             n_events.append(n)
-        cn = (w[:, None] * X * X).sum(axis=0)
+        cn = _col_norms(X, w)
         if (cn == 0).any():
             bad = np.nonzero(cn == 0)[0]
             warnings.warn(

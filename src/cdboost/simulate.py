@@ -259,16 +259,18 @@ def gen_covariates(design: SimDesign, replicate: int = 0, test: bool = False) ->
     for m in range(design.M):
         rng = stream(design.seed, replicate, m + 1, purpose)
         z0 = rng.standard_normal((design.n, 1))
-        z = rng.standard_normal((design.n, design.p))
-        u = np.empty_like(z)
+        # the noise z becomes the chain u in place: column j reads column
+        # j - 1 after its own update, as it would from a separate u
+        u = rng.standard_normal((design.n, design.p))
         start = 0
         for g in sizes:
-            u[:, start] = z[:, start]
             for j in range(start + 1, start + g):
-                u[:, j] = rho * u[:, j - 1] + math.sqrt(1 - rho * rho) * z[:, j]
+                u[:, j] = rho * u[:, j - 1] + math.sqrt(1 - rho * rho) * u[:, j]
             start += g
-        X = math.sqrt(b) * z0 + math.sqrt(1 - b) * u
-        out.append(standardize_columns(X))
+        # sqrt(1-b) u + sqrt(b) z0 is sqrt(b) z0 + sqrt(1-b) u exactly
+        u *= math.sqrt(1 - b)
+        u += math.sqrt(b) * z0
+        out.append(standardize_columns(u, out=u))
     return out
 
 

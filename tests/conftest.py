@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,29 @@ def lr_problem(rng):
 def aft_problem(rng):
     bundles = make_aft_bundles(rng, M=2, n=40, p=6)
     return bundles, tiny_groups(6, 2)
+
+
+LAYOUTS = ("c", "f", "every_other_column", "every_other_row", "reversed_columns")
+
+
+def laid_out(rng, n, p, layout):
+    """An n x p float64 array of widely scaled values in one of ``LAYOUTS``:
+    contiguous in C or Fortran order, or a view that is not contiguous."""
+    base = rng.standard_normal((2 * n, 2 * p)) * 10.0 ** rng.uniform(-4, 4, 2 * p)
+    return {
+        "c": np.ascontiguousarray(base[:n, :p]),
+        "f": np.asfortranarray(base[:n, :p]),
+        "every_other_column": base[:n, ::2],
+        "every_other_row": base[::2, :p],
+        "reversed_columns": base[:n, p - 1::-1],
+    }[layout]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn``'s result and the peak bytes traced by ``tracemalloc`` while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cdboost.data import CoefficientState, all_common_partition
-from cdboost.simulate import gen_truth, simulate_replicate, small_example_design
+from cdboost.data import CoefficientState, DatasetBundle, all_common_partition
+from cdboost.simulate import (
+    P_COVARIATES,
+    gen_truth,
+    simulate_replicate,
+    small_example_design,
+    stream,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +449,60 @@ def write_dataset_csv_cellwise(path, X, y, delta=None, names=None):
                 row.append(str(int(delta[i])))
             row.extend(repr(float(v)) for v in X[i])
             w.writerow(row)
+
+
+# ---------------------------------------------------------------------------
+# Whole-array references for the column-blocked and in-place code
+# ---------------------------------------------------------------------------
+
+
+def gen_covariates_whole(design, replicate=0):
+    """The simulation covariates with every stage as its own n x p array:
+    the noise z, the chain u, the mixed X and its standardized copy."""
+    b, rho = design.between_corr, design.rho_within
+    out = []
+    for m in range(design.M):
+        rng = stream(design.seed, replicate, m + 1, P_COVARIATES)
+        z0 = rng.standard_normal((design.n, 1))
+        z = rng.standard_normal((design.n, design.p))
+        u = np.empty_like(z)
+        start = 0
+        for g in design.sizes:
+            u[:, start] = z[:, start]
+            for j in range(start + 1, start + g):
+                u[:, j] = rho * u[:, j - 1] + math.sqrt(1 - rho * rho) * z[:, j]
+            start += g
+        out.append(standardize_whole(math.sqrt(b) * z0 + math.sqrt(1 - b) * u))
+    return out
+
+
+def col_norms_whole(X, w):
+    """sum_i w_i x_is^2 for every column, as one n x p expression."""
+    return (w[:, None] * X * X).sum(axis=0)
+
+
+def column_mean_whole(X):
+    return X.mean(axis=0)
+
+
+def column_std_whole(X):
+    return X.std(axis=0)
+
+
+def standardize_whole(X):
+    """Columns centered and scaled by their whole-array mean and standard
+    deviation; constant columns centered only."""
+    sd = column_std_whole(X)
+    return (X - column_mean_whole(X)) / np.where(sd > 0, sd, 1.0)
+
+
+def stacked_bundle(bundles):
+    """Every dataset's rows stacked in dataset order, as one bundle."""
+    delta = None
+    if bundles[0].delta is not None:
+        delta = np.concatenate([b.delta for b in bundles])
+    return DatasetBundle(X=np.vstack([b.X for b in bundles]),
+                         y=np.concatenate([b.y for b in bundles]), delta=delta, id=0)
 
 
 def load_truth(path):

@@ -36,7 +36,7 @@ from cdboost.data import (
 )
 from cdboost.losses import build_context
 
-from conftest import make_lr_bundles, make_aft_bundles, tiny_groups
+from conftest import make_lr_bundles, make_aft_bundles, tiny_groups, traced_peak
 from oracles import (
     Candidate,
     PenaltySpec,
@@ -223,6 +223,37 @@ def test_pool_equals_sboost_on_stacked_rows(rng):
     assert a.t_hat == b.t_hat
     for m in range(3):
         assert np.array_equal(b.beta_hat[:, m], a.beta_hat[:, 0])
+
+
+def _tied_aft_bundles(rng, M, n, p):
+    """AFT datasets whose observed times tie within and across datasets,
+    between events and censored rows too."""
+    return [DatasetBundle(X=b.X, y=np.round(b.y, 1), delta=b.delta, id=b.id)
+            for b in make_aft_bundles(rng, M=M, n=n, p=p)]
+
+
+def test_pool_aft_equals_fit_of_stacked_rows(rng):
+    bundles = _tied_aft_bundles(rng, M=3, n=40, p=8)
+    groups = tiny_groups(8, 2)
+    cfg = BoostConfig(T=150, model="aft")
+    stacked = sboost_fit(oracles.stacked_bundle(bundles), groups, cfg)
+    pooled = pool_sboost_fit(bundles, groups, cfg)
+    assert pooled.t_hat == stacked.t_hat
+    assert pooled.beta_hat.tobytes() == np.repeat(stacked.beta_hat, 3, axis=1).tobytes()
+    assert pooled.objective_trace.tobytes() == stacked.objective_trace.tobytes()
+    assert pooled.loss_trace.tobytes() == stacked.loss_trace.tobytes()
+    # the pooled rows come in survival order, so the context holds them as they are
+    bundle = boosting._pooled_bundle(bundles)
+    assert build_context([bundle], "aft").X[0] is bundle.X
+
+
+def test_pool_aft_holds_one_pooled_copy(rng):
+    bundles = _tied_aft_bundles(rng, M=3, n=100, p=1000)
+    groups = tiny_groups(1000, 4)
+    _, peak = traced_peak(pool_sboost_fit, bundles, groups, BoostConfig(T=50, model="aft"))
+    # the rows are written once into the pooled array; no stacked copy,
+    # sorted copy or n x p column-norm temporary next to it
+    assert peak < 1.3 * sum(b.X.nbytes for b in bundles)
 
 
 # multi-dataset behavior ------------------------------------------------------

@@ -91,6 +91,62 @@ def test_simulate_bytes_pinned(tmp_path, capsys, model):
     assert got == _REDUCED_SEED1_SHA256[model]
 
 
+@pytest.fixture(scope="module")
+def reduced_seed1(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reduced")
+    for model in ("lr", "aft"):
+        assert main(["simulate", "--preset", "reduced", "--model", model, "--seed", "1",
+                     "--outdir", str(root / model)]) == 0
+    return root
+
+
+# sha256 of `cdboost fit --iters 200` JSON (cd with --lambda auto, sep and
+# pool) on the reduced seed-1 files pinned above, recorded before loading
+# and pooling stopped copying arrays
+_FIT_SEED1_SHA256 = {
+    ("lr", True): {
+        "cd-sboost": "1cbadab45d040e5c327147b71e52a8f5124a77fd8c0d7c6fe21d9391afea24b2",
+        "sep-sboost": "2108465a4ff6f2b9fed2700a10b67dc1f29e04e208cf76ab2d2d606bc4db8a3c",
+        "pool-sboost": "efa219c23db3a84cb10d79a4f66069dcbb3bce9541dcc6ea9731375f95138efd",
+    },
+    ("lr", False): {
+        "cd-sboost": "deb10730b10ec0a1f488db02ef7bc9dc523ab912234fe134ccbbe51b86440e74",
+        "sep-sboost": "5637f0f60efa6e7b04495ff95ca08fda43b095cd133c1f919a0a5063cbf9c7ab",
+        "pool-sboost": "84163f5e0fa9a4a399939dc4ff0964338551a3e99eea5f468919aedde2f84b81",
+    },
+    ("aft", True): {
+        "cd-sboost": "3fdde6b252d29fea0d6f79fed220ed8fcbac53e8564fd0947d4dd7844205ed25",
+        "sep-sboost": "19c239d99b695a29a3a2c987fe30ad2c63f4a2a2edfcefa1d8827b4b5657007b",
+        "pool-sboost": "a63a515245ad30be78b5ca170299e1793f25aa7b71464598cf40edf928720b16",
+    },
+    ("aft", False): {
+        "cd-sboost": "9ed907d6fe86eb2a7b333e46ae944b8485a9bead4dc123a454fe2e356d05acb7",
+        "sep-sboost": "47cf6c5391195565112bf7f3638e8220f33a4263e233ac4be1424e8e0b242e2f",
+        "pool-sboost": "0cce1245ed9d9124805621bc4b4d63c2e740dd4bba5a6798546df6b384dcf4b0",
+    },
+}
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
+    """Pins the fit output for both loaded layouts: standardized in place,
+    and the raw parsed table that goes to BLAS under --no-standardize."""
+    data = reduced_seed1 / model
+    argv = ["fit", "--data", *(str(data / f"dataset_{m}.csv") for m in (1, 2, 3)),
+            "--groups", str(data / "groups.tsv"), "--iters", "200"]
+    if not standardize:
+        argv.append("--no-standardize")
+    got = {}
+    for method, flags in (("cd-sboost", ["--lambda", "auto"]), ("sep-sboost", []),
+                          ("pool-sboost", [])):
+        out = data / f"{method}-{standardize}.json"
+        assert main([*argv, "--method", method, *flags, "--output", str(out)]) == 0
+        got[method] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert got == _FIT_SEED1_SHA256[model, standardize]
+
+
 def test_simulate_design_flag_sets_scheme_and_noise(tmp_path):
     out = tmp_path / "s3"
     code = main(["simulate", "--preset", "standard", "--n", "30", "--p", "60",
@@ -415,6 +471,32 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
 
 # flag values, most wrong in type, range or finiteness; every number is
 # small, so no case asks for many iterations, splits or processes
+@pytest.mark.parametrize("case", ["fit", "fit-auto", "fit-into-directory", "benchmark-output",
+                                  "benchmark-table", "stability"])
+def test_unwritable_output_fails_before_any_fit(tmp_path, capsys, rng, monkeypatch, case):
+    import cdboost.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran before the output path was checked")
+
+    for name in ("select_lambda", "run_fit", "benchmark", "stability"):
+        monkeypatch.setattr(cli, name, refuse)
+    paths, groups = _write_problem(tmp_path, rng)
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    fit = ["fit", "--data", *paths, "--groups", groups]
+    argv = {
+        "fit": [*fit, "--lambda", "0", "--output", missing],
+        "fit-auto": [*fit, "--output", missing],
+        "fit-into-directory": [*fit, "--lambda", "0", "--output", str(tmp_path)],
+        "benchmark-output": [*_BENCH, "--output", missing],
+        "benchmark-table": [*_BENCH, "--table", missing],
+        "stability": ["stability", "--data", *paths, "--groups", groups, "--output", missing],
+    }[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 _BAD_VALUES = ["", "0", "-1", "1", "3", "2.5", "-0.5", "nan", "inf", "-inf", "1e400",
                "abc", "auto", "0,0", "1,,2", "0.8,0.2", "0.8,0.2,nan", "x,y,z", "é",
                "0.3", "ordered", "pool-sboost", "sboost", "aft", "lr", "0,1"]

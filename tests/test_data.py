@@ -1,10 +1,9 @@
 import concurrent.futures
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdboost.data import (
     BoostConfig,
@@ -13,6 +12,7 @@ from cdboost.data import (
     GroupStructure,
     ParseError,
     ValidationError,
+    _by_column_blocks,
     _parse_float,
     _run_in_order,
     adjacent_equal_pairs,
@@ -36,7 +36,8 @@ from cdboost.data import (
     write_groups_tsv,
 )
 
-from conftest import make_lr_bundles, tiny_groups
+import oracles
+from conftest import LAYOUTS, laid_out, make_lr_bundles, tiny_groups, traced_peak
 from oracles import write_dataset_csv_cellwise
 
 
@@ -486,10 +487,8 @@ def test_load_bundles_bit_identical_to_cell_by_cell(tmp_path, rng, model, standa
         if standardize:
             sd = X.std(axis=0)
             X = (X - X.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
-            assert b.X.flags.c_contiguous
-        else:
-            # a view into the parsed table, laid out as it always was
-            assert b.X.strides == X.strides
+        # the parsed covariate table itself, standardized in place or not
+        assert b.X.flags.c_contiguous
         assert (b.X.dtype, b.X.shape, b.X.tobytes()) == (X.dtype, X.shape, X.tobytes())
         assert (b.y.dtype, b.y.tobytes()) == (y.dtype, y.tobytes())
         if model == "aft":
@@ -504,28 +503,43 @@ def wide_csvs(tmp_path_factory):
                         "lr", n=200, p=1000)
 
 
-def _traced_peak(fn, *args, **kwargs):
-    tracemalloc.start()
-    try:
-        out = fn(*args, **kwargs)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("standardize", [True, False])
 def test_load_bundles_holds_only_what_it_returns(wide_csvs, standardize):
-    (bundles, _), peak = _traced_peak(load_bundles, wide_csvs, standardize=standardize)
-    assert peak <= 2 * sum(b.X.nbytes for b in bundles)
+    (bundles, _), peak = traced_peak(load_bundles, wide_csvs, standardize=standardize)
+    # each file's covariate table, standardized in place, and nothing else
+    # of its size
+    assert peak <= 1.25 * sum(b.X.nbytes for b in bundles)
     for b in bundles:
         assert not np.shares_memory(b.y, b.X)
-        # a copy, so y does not keep the parsed (n, 1 + p) table alive
+        # an array of its own, so y keeps no parsed table alive
         assert b.y.flags.owndata
 
 
 def test_standardize_holds_one_temporary(rng):
     X = rng.standard_normal((200, 1000))
-    _, peak = _traced_peak(standardize_columns, X)
+    _, peak = traced_peak(standardize_columns, X)
     # one n x p array at a time (std's temporary, then the result);
     # (X - mu) / sd would hold two at once
     assert peak < 1.5 * X.nbytes
+
+
+def test_standardize_in_place_holds_no_n_by_p_array(rng):
+    X = rng.standard_normal((200, 1000))
+    want = standardize_columns(X)
+    out, peak = traced_peak(standardize_columns, X, out=X)
+    assert out is X and X.tobytes() == want.tobytes()
+    # column blocks only: neither std's deviations nor a result of X's size
+    assert peak < 0.25 * X.nbytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 300), p=st.integers(1, 700), layout=st.sampled_from(LAYOUTS),
+       seed=st.integers(0, 2**32 - 1))
+# n = 300 makes blocks 54 columns wide; p = 55 leaves a one-column tail
+@example(n=300, p=55, layout="c", seed=1)
+@example(n=300, p=109, layout="every_other_column", seed=2)
+def test_column_mean_std_match_whole_array(n, p, layout, seed):
+    X = laid_out(np.random.default_rng(seed), n, p, layout)
+    assert _by_column_blocks(np.mean, X).tobytes() == oracles.column_mean_whole(X).tobytes()
+    assert _by_column_blocks(np.std, X).tobytes() == oracles.column_std_whole(X).tobytes()
+    assert standardize_columns(X).tobytes() == oracles.standardize_whole(X).tobytes()

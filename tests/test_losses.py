@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from cdboost.data import CoefficientState, DatasetBundle, ValidationError, standardize_columns
-from cdboost.losses import build_context, km_weights
+from cdboost.losses import _col_norms, build_context, km_weights
 
-from conftest import make_aft_bundles, make_lr_bundles, tiny_groups
+from conftest import LAYOUTS, laid_out, make_aft_bundles, make_lr_bundles, tiny_groups, traced_peak
 from oracles import (
     aft_loss,
     bracket_minimum,
@@ -75,6 +77,48 @@ def test_build_context_aft_sorts_events_first(rng):
     # tie at t=2: the event (delta=1) must come first
     i = np.searchsorted(ctx.y[0], 2.0)
     assert ctx.y[0][i] == 2.0 and ctx.y[0][i + 1] == 2.0
+
+
+def test_build_context_aft_unsorted_rows_sorted_copy(rng):
+    X = rng.standard_normal((30, 5))
+    y = np.round(rng.standard_normal(30), 1)      # ties
+    delta = rng.integers(0, 2, 30)
+    delta[0] = 1
+    ctx = build_context([DatasetBundle(X=X, y=y, delta=delta, id=0)], "aft")
+    order = np.lexsort((1 - delta, y))
+    assert ctx.X[0].flags.c_contiguous
+    assert ctx.X[0].tobytes() == X[order].tobytes()
+
+
+def test_build_context_holds_no_n_by_p_array(rng):
+    n, p = 200, 1000
+    X = rng.standard_normal((n, p))
+    delta = np.ones(n, dtype=int)
+    delta[::3] = 0
+    problems = {
+        "lr": DatasetBundle(X=X, y=rng.standard_normal(n)),
+        # rows already in survival order (distinct times, ascending)
+        "aft": DatasetBundle(X=X, y=np.sort(rng.standard_normal(n)), delta=delta),
+    }
+    for model, bundle in problems.items():
+        ctx, peak = traced_peak(build_context, [bundle], model)
+        assert ctx.X[0] is bundle.X
+        # the column norms' blocks only, no n x p temporary
+        assert peak < 0.25 * X.nbytes, model
+        assert ctx.col_norms[0].tobytes() == oracles.col_norms_whole(X, ctx.weights[0]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 300), p=st.integers(1, 700), layout=st.sampled_from(LAYOUTS),
+       seed=st.integers(0, 2**32 - 1))
+# n = 300 makes blocks 54 columns wide; p = 55 leaves a one-column tail
+@example(n=300, p=55, layout="c", seed=1)
+@example(n=300, p=163, layout="f", seed=2)
+def test_col_norms_match_whole_array(n, p, layout, seed):
+    rng = np.random.default_rng(seed)
+    X = laid_out(rng, n, p, layout)
+    w = rng.random(n)
+    assert _col_norms(X, w).tobytes() == oracles.col_norms_whole(X, w).tobytes()
 
 
 def test_aft_loss_reduces_to_lr_when_uncensored(rng):

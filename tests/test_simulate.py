@@ -22,8 +22,10 @@ from cdboost.simulate import (
     write_simulation,
 )
 
+from conftest import traced_peak
 from oracles import (
     design_sigma_fn,
+    gen_covariates_whole,
     gen_small_example,
     load_truth,
     quad_form_direct,
@@ -216,6 +218,24 @@ def test_covariates_with_global_factor():
         cross.append(np.corrcoef(X[:, 0], X[:, sizes[0]])[0, 1])
     assert np.mean(same) == pytest.approx(0.5, abs=0.05)
     assert np.mean(cross) == pytest.approx(0.2, abs=0.05)
+
+
+@pytest.mark.parametrize("between", [0.0, 0.3])
+def test_covariates_in_place_match_whole_arrays(between):
+    design = SimDesign(M=3, n=60, p=90, K=3, between_corr=between, within_corr=0.5, seed=4)
+    got = gen_covariates(design, replicate=2)
+    want = gen_covariates_whole(design, replicate=2)
+    for x, ref in zip(got, want):
+        assert x.flags.c_contiguous
+        assert x.tobytes() == ref.tobytes()
+
+
+def test_covariates_hold_one_dataset_at_a_time():
+    design = SimDesign(M=3, n=200, p=1000, K=20, between_corr=0.2, seed=1)
+    X, peak = traced_peak(gen_covariates, design)
+    # what it returns plus column blocks: the noise becomes the chain, is
+    # mixed and standardized in the same array
+    assert peak < sum(x.nbytes for x in X) + 0.3 * X[0].nbytes
 
 
 # ---------------------------------------------------------------------------
