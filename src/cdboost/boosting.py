@@ -11,17 +11,18 @@ classes never merge.  The path holds each group's classes as one label row
 (entry m is the smallest dataset in m's class): ``_split`` is the split
 rule, and ``_unequal`` counts differing pairs, both for the penalty trace
 and, on every candidate's split-off row at once, for the split costs of
-``_SubsetTasks``.  The fitters differ only in the starting classes, in
-which candidates step and in where they stop:
+``_SubsetTasks``.  A fitter's kind sets its starting classes and which
+candidates step; the fitters also differ in where they stop.  The cd and
+lockstep fitters report the classes at their stop from the coefficients, by
+exact block comparison (``data.block_partitions``):
 
 * ``cd_sboost_fit``   -- all datasets start in one class per group; each
   iteration the single best candidate steps; stops at the first argmin of
-  the summed objective trace, and reports the classes there from the
-  coefficients: the starting classes met with exact block equality.
-* ``sep_sboost_fit``  -- every dataset is its own class (no penalty), and
-  each iteration every dataset steps with its own best covariate: M
-  independent single-dataset paths in lockstep.  Each dataset stops at the
-  argmin of its own trace.
+  the summed objective trace.
+* ``sep_sboost_fit``  -- the lockstep path: every dataset is its own class
+  (no penalty), and each iteration every dataset steps with its own best
+  covariate: M independent single-dataset paths.  Each dataset stops at
+  the argmin of its own trace.
 * ``int_sboost_fit``  -- the same paths, one shared stop at the argmin of the
   summed trace.
 * ``sboost_fit``      -- one dataset: the M=1 case of the separate fit.
@@ -41,7 +42,6 @@ import numpy as np
 
 from .data import (
     BoostConfig,
-    CoefficientState,
     DatasetBundle,
     FitResult,
     GroupStructure,
@@ -49,10 +49,8 @@ from .data import (
     ValidationError,
     all_common_partition,
     block_labels,
+    block_partitions,
     label_classes,
-    partition_labels,
-    partition_refresh,
-    singleton_partitions,
     validate,
 )
 from .losses import LossContext, build_context
@@ -173,17 +171,22 @@ class _Path(NamedTuple):
 
 
 def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
-          initial_partitions, verify_partitions=False, every_subset=False) -> _Path:
+          verify_partitions=False, lockstep=False) -> _Path:
     """Greedy boosting path over all T iterations.
 
     Each iteration scores every candidate (covariate, subset) pair.  By
-    default the single best one steps.  With ``every_subset`` each candidate
-    subset instead steps with its own best covariate; the drivers use this
-    only with singleton classes, which never split, where it runs M
-    independent single-dataset paths in lockstep.  Each candidate subset lies
-    inside one equality class of its covariate's group, which is what makes
-    the per-subset sparsity term of ``_SubsetTasks`` exact.  The penalty
-    counts all dataset pairs, or the adjacent ones under ``ordered``.
+    default every group starts with all datasets in one class and the single
+    best candidate steps.  With ``lockstep`` every dataset starts in a class
+    of its own, which never splits, and each dataset steps with its own best
+    covariate: M independent single-dataset paths in lockstep.  Each
+    candidate subset lies inside one equality class of its covariate's
+    group, which is what makes the per-subset sparsity term of
+    ``_SubsetTasks`` exact.  The penalty counts all dataset pairs, or the
+    adjacent ones under ``ordered``.
+
+    ``verify_partitions`` checks the all-common path: after every step, and
+    again after the loop, the tracked classes must equal exact block
+    comparison of the coefficients, or ``AssertionError`` is raised.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
@@ -193,8 +196,8 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
     pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
-    labels = [partition_labels(pt) for pt in initial_partitions]
-    start = [row.copy() for row in labels]
+    # one list per group, as _split edits the rows in place
+    labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
     unequal = int(_unequal(labels, mode).sum())
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
     nnz = [0] * M                    # running nonzero count per dataset
@@ -202,7 +205,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
 
     tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
-    R = len(tasks.subsets) if every_subset else 1
+    R = len(tasks.subsets) if lockstep else 1
     subsets = []
     rows = np.empty((T, R), dtype=np.int64)
     s_steps = np.empty((T, R), dtype=np.int64)
@@ -225,7 +228,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
 
         js = dobj.argmin(axis=1).tolist()  # per subset: first minimum, smallest s
         candidates = tasks.subsets
-        if every_subset:
+        if lockstep:
             stepping = range(R)
         else:   # ties: largest subset, then smallest s, then smallest subset
             stepping = [min(range(len(candidates)), key=lambda i: (
@@ -249,7 +252,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             # only group k_hat changed; untouched groups agree by induction,
             # and the full state is re-checked after the loop
             if verify_partitions and labels[k_hat] != block_labels(
-                    coef[:, group_idx[k_hat]].T, start[k_hat]):
+                    coef[:, group_idx[k_hat]].T):
                 raise AssertionError(
                     f"iteration {t + 1}: tracked partition of group {k_hat} "
                     f"diverged from element-wise comparison"
@@ -260,8 +263,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             sparsity[m, t] = pf[m] * nnz[m]
         penalty[t] = lam * unequal / normalizer if normalizer > 0 else 0.0
 
-    if verify_partitions and labels != [
-            block_labels(coef[:, idx].T, row) for idx, row in zip(group_idx, start)]:
+    if verify_partitions and labels != [block_labels(coef[:, idx].T) for idx in group_idx]:
         raise AssertionError(
             "final state: tracked partitions diverged from element-wise "
             "comparison"
@@ -292,13 +294,11 @@ def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
 
     Each dataset stops at the first argmin of its own objective trace (loss +
     sparsity term) or, with ``shared_stop``, all at that of the summed trace.
-    Partitions are computed afterward by exact block comparison.
     """
     bundles = list(bundles)
     validate(bundles, groups, config.model)
     ctx = build_context(bundles, config.model)
-    singles = singleton_partitions(ctx.M, groups.K)
-    path = _path(ctx, groups, replace(config, lam=0.0), singles, every_subset=True)
+    path = _path(ctx, groups, replace(config, lam=0.0), lockstep=True)
     objective = path.loss + path.sparsity
     total = np.sum(objective, axis=0)
     if shared_stop:
@@ -306,11 +306,10 @@ def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
     else:
         t_stop = [_first_argmin(trace) for trace in objective]
     beta = _replay(path, config.nu, ctx.p, t_stop)
-    state = partition_refresh(CoefficientState(beta=beta, partitions=[]), groups)
     return FitResult(
         beta_hat=beta,
         t_hat=max(t_stop),
-        partitions=state.partitions,
+        partitions=block_partitions(beta, groups),
         objective_trace=total,
         loss_trace=np.sum(path.loss, axis=0),
     )
@@ -371,56 +370,38 @@ def pool_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> Fit
     )
 
 
-def _check_starting_classes(partitions, M: int, K: int) -> None:
-    """Raise ``ValidationError`` unless there is one partition per group and
-    each holds every dataset 0..M-1 in exactly one non-empty class."""
-    if len(partitions) != K:
-        raise ValidationError(f"initial_partitions has {len(partitions)} entries for {K} groups")
-    for k, pt in enumerate(partitions):
-        if not all(pt) or sorted(m for c in pt for m in c) != list(range(M)):
-            raise ValidationError(f"initial_partitions[{k}] = {pt!r} does not hold each of "
-                                  f"datasets 0..{M - 1} in exactly one class")
-
-
 def cd_sboost_fit(
     bundles,
     groups: GroupStructure,
     config: BoostConfig,
-    initial_partitions: list[Partition] | None = None,
     verify_partitions: bool = False,
 ) -> FitResult:
     """Joint fit identifying commonality and difference across datasets.
 
-    Per iteration every covariate contributes candidates (single-dataset
-    and shared within-class increments); the global objective (loss +
-    sparsity + commonality penalty) picks one, the update is applied to all
-    datasets of the chosen subset simultaneously, and the containing
-    equality class splits when the subset is proper. With one dataset this
-    reduces exactly to ``sboost_fit``.
+    Every group starts with all datasets in one class.  Per iteration every
+    covariate contributes candidates (single-dataset and shared within-class
+    increments); the global objective (loss + sparsity + commonality
+    penalty) picks one, the update is applied to all datasets of the chosen
+    subset simultaneously, and the containing equality class splits when
+    the subset is proper.  With one dataset this reduces exactly to
+    ``sboost_fit``.
 
-    ``initial_partitions`` overrides the all-common starting classes (used
-    in tests; one partition of the M datasets per group);
-    ``verify_partitions`` cross-checks the tracked classes at every
-    iteration against their expected value, the common refinement of the
-    starting classes and element-wise block comparison.
+    ``partitions`` are the classes at ``t_hat``, read off ``beta_hat`` by
+    exact block comparison; ``final_partitions`` are the tracked classes
+    after iteration T.  ``verify_partitions`` cross-checks the tracked
+    classes at every iteration against exact block comparison of the
+    coefficients.
     """
     bundles = list(bundles)
     validate(bundles, groups, config.model)
     ctx = build_context(bundles, config.model)
-    M = ctx.M
-    if initial_partitions is None:
-        initial_partitions = [all_common_partition(M)] * groups.K
-    else:
-        _check_starting_classes(initial_partitions, M, groups.K)
-    path = _path(ctx, groups, config, initial_partitions, verify_partitions)
+    path = _path(ctx, groups, config, verify_partitions)
     loss = sum(path.loss)
     trace = loss + sum(path.sparsity) + path.penalty
     t_hat = _first_argmin(trace)
-    beta = _replay(path, config.nu, ctx.p, [t_hat] * M)
-    parts = [label_classes(block_labels(beta[groups.indices(k)], partition_labels(pt)))
-             for k, pt in enumerate(initial_partitions)]
-    return FitResult(beta_hat=beta, t_hat=t_hat, partitions=parts, objective_trace=trace,
-                     loss_trace=loss, final_partitions=path.partitions)
+    beta = _replay(path, config.nu, ctx.p, [t_hat] * ctx.M)
+    return FitResult(beta_hat=beta, t_hat=t_hat, partitions=block_partitions(beta, groups),
+                     objective_trace=trace, loss_trace=loss, final_partitions=path.partitions)
 
 
 def _single_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:

@@ -256,8 +256,10 @@ def cmd_fit(args) -> int:
                 else _parse_lambda_grid(args.grid))
         lam, result = select_lambda(bundles, groups, config, grid=grid,
                                     workers=args.workers)
+        score = grid.scores[grid.values.index(lam)]  # the winner's own grid score
     else:
         result = run_fit(bundles, groups, config)
+        score = hdbic(result, bundles)
 
     nz = np.nonzero(result.beta_hat)
     payload = {
@@ -275,7 +277,7 @@ def cmd_fit(args) -> int:
             )
         ],
         "objective_trace": [float(v) for v in result.objective_trace],
-        "hdbic": hdbic(result, bundles),
+        "hdbic": score,
     }
     _emit(payload, "fit_result.schema.json", args.output)
     return 0

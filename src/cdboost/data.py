@@ -9,11 +9,12 @@ partition of datasets into equality classes (the commonality bookkeeping).
 The boosting path tracks equality classes structurally, as one label row
 per group (entry m is the smallest dataset in m's class): datasets that
 receive identical joint increments keep exactly equal coefficient blocks, so
-its step loop compares no floats.  The classes a fit reports are read off
-the coefficients by exact block comparison instead: ``block_labels`` (met
-with the starting classes) for the cd fit, ``partition_refresh`` for the
-separate fits and for output checks.  Every exact block comparison in the
-package goes through ``equal_columns``.
+its step loop compares no floats.  The classes the cd and lockstep fitters
+report are read off the coefficients by exact block comparison instead,
+through ``block_partitions``; ``block_labels`` gives one group's label row,
+which the cd path's ``verify_partitions`` check compares with the tracked
+row.
+Every exact block comparison in the package goes through ``equal_columns``.
 
 A bundle owns its arrays.  The CSV reader puts the covariate cells of
 each row into one float64 table and collects ``y`` and ``delta`` apart;
@@ -120,7 +121,6 @@ class GroupStructure:
     """
 
     assignment: np.ndarray
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=int)
@@ -235,17 +235,6 @@ def all_common_partition(M: int) -> Partition:
     return (tuple(range(M)),)
 
 
-def singleton_partitions(M: int, K: int) -> list[Partition]:
-    return [tuple((m,) for m in range(M))] * K
-
-
-def canonical_partition(classes) -> Partition:
-    """Sort members within classes and classes by smallest member."""
-    cs = [tuple(sorted(c)) for c in classes]
-    cs.sort(key=lambda c: c[0])
-    return tuple(cs)
-
-
 def validate(bundles, groups: GroupStructure, model: str = "lr") -> None:
     """Check cross-dataset consistency.
 
@@ -291,42 +280,28 @@ def equal_columns(block: np.ndarray) -> np.ndarray:
     return (block[:, :, None] == block[:, None, :]).all(axis=0)
 
 
-def partition_labels(partition: Partition) -> list[int]:
-    """Label row of a partition: entry m is the smallest member of m's class."""
-    labels = [0] * sum(map(len, partition))
-    for c in partition:
-        low = min(c)
-        for m in c:
-            labels[m] = low
-    return labels
-
-
 def label_classes(labels) -> Partition:
-    """The canonical partition of a label row (the inverse of ``partition_labels``)."""
+    """The canonical partition of a label row (entry m names m's class)."""
     classes: dict[int, list[int]] = {}
     for m, c in enumerate(labels):
         classes.setdefault(c, []).append(m)
     return tuple(map(tuple, classes.values()))
 
 
-def block_labels(block: np.ndarray, labels=None) -> list[int]:
+def block_labels(block: np.ndarray) -> list[int]:
     """Label row of the exact equality classes of the columns of a (rows, M)
-    block, met with the label row ``labels`` when one is given.
+    block: entry m is the first column equal to column m.
 
-    Two columns share a class when they are equal (and share a label); a
-    column holding NaN equals no column, itself included, and stays alone.
+    A column holding NaN equals no column, itself included, and stays alone.
     """
-    equal = [row.index(True) if row[m] else m
-             for m, row in enumerate(equal_columns(block).tolist())]
-    if labels is None:
-        return equal
-    first: dict[tuple[int, int], int] = {}
-    return [first.setdefault(pair, m) for m, pair in enumerate(zip(labels, equal))]
+    return [row.index(True) if row[m] else m
+            for m, row in enumerate(equal_columns(block).tolist())]
 
 
-def block_partition(block: np.ndarray) -> Partition:
-    """Equality classes of the columns of a (rows, M) block, canonical."""
-    return label_classes(block_labels(block))
+def block_partitions(beta: np.ndarray, groups: GroupStructure) -> list[Partition]:
+    """Per group, the exact equality classes of the datasets' coefficient
+    blocks of a p x M ``beta``."""
+    return [label_classes(block_labels(beta[groups.indices(k)])) for k in range(groups.K)]
 
 
 def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tuple[bool, ...], ...]:
@@ -340,8 +315,8 @@ def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tupl
 
 def partition_refresh(state: CoefficientState, groups: GroupStructure) -> CoefficientState:
     """Recompute equality classes by exact element-wise block comparison."""
-    parts = [block_partition(state.beta[groups.indices(k), :]) for k in range(groups.K)]
-    return CoefficientState(beta=state.beta, partitions=parts, iteration=state.iteration)
+    return CoefficientState(beta=state.beta, partitions=block_partitions(state.beta, groups),
+                            iteration=state.iteration)
 
 
 def _run_in_order(fn, jobs, workers: int = 1):
@@ -547,7 +522,7 @@ def read_groups_tsv(path, names: list[str]) -> GroupStructure:
     ids = sorted(set(mapping.values()))
     remap = {g: i for i, g in enumerate(ids)}
     assignment = np.array([remap[mapping[n]] for n in names], dtype=int)
-    return GroupStructure(assignment=assignment, names=tuple(names))
+    return GroupStructure(assignment=assignment)
 
 
 def write_dataset_csv(path, X: np.ndarray, y: np.ndarray, delta=None, names=None):

@@ -14,12 +14,13 @@ increment of the boosting engine is a weighted least-squares solution for one
 covariate.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetBundle, ValidationError, _by_column_blocks
+from .data import DatasetBundle, NumericError, ValidationError, _by_column_blocks
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,9 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
     context holds the bundle's own ``X``; under AFT it holds the rows
     sorted by observed log-time, or, when they already are in that order,
     the bundle's ``X`` itself (a copy only if it is not C-contiguous).
-    Column norms are summed one column block at a time.
+    Column norms are summed one column block at a time.  A column norm or
+    a response energy ``w @ (y * y)`` that overflows raises ``NumericError``:
+    no increment or loss of such data would be finite.
     """
     Xs, ys, ws, norms, n_obs, n_events, pf = [], [], [], [], [], [], []
     for b in bundles:
@@ -105,7 +108,12 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
             X, y = b.X, b.y
             w = np.full(n, 1.0 / n)
             n_events.append(n)
-        cn = _col_norms(X, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            cn = _col_norms(X, w)
+            energy = float(w @ (y * y))
+        if not (np.isfinite(cn).all() and math.isfinite(energy)):
+            raise NumericError(f"dataset {b.id}: a weighted column norm or the response "
+                               "energy overflows; rescale the data")
         if (cn == 0).any():
             bad = np.nonzero(cn == 0)[0]
             warnings.warn(

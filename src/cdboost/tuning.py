@@ -95,11 +95,11 @@ def default_lambda_grid(bundles) -> LambdaGrid:
 
 
 def _fit_and_score(args):
-    lam, bundles, groups, config, fit_kwargs = args
+    lam, bundles, groups, config, verify_partitions = args
     from .boosting import cd_sboost_fit
 
     cfg = replace(config, lam=lam, algorithm="cd_sboost")
-    fit = cd_sboost_fit(bundles, groups, cfg, **fit_kwargs)
+    fit = cd_sboost_fit(bundles, groups, cfg, verify_partitions=verify_partitions)
     return hdbic(fit, bundles), fit
 
 
@@ -109,14 +109,15 @@ def select_lambda(
     config: BoostConfig,
     grid: LambdaGrid | None = None,
     workers: int = 1,
-    **fit_kwargs,
+    verify_partitions: bool = False,
 ) -> tuple[float, FitResult]:
     """Fit cd_sboost at every grid value; return the HDBIC minimizer.
 
     Ties (including duplicate grid values) resolve to the smaller lambda.
     The grid object, when supplied, is filled with per-value scores and
     fits.  Fits run in grid order on ``workers`` processes; the grid and
-    the winner are identical for any worker count.
+    the winner are identical for any worker count.  ``verify_partitions``
+    goes to every ``cd_sboost_fit``.
 
     The search stops fitting at the first grid value whose cd path leaves
     every group's partition a single class through iteration T (with more
@@ -135,7 +136,7 @@ def select_lambda(
     bundles = list(bundles)
     if grid is None:
         grid = default_lambda_grid(bundles)
-    jobs = [(lam, bundles, groups, config, fit_kwargs) for lam in grid.values]
+    jobs = [(lam, bundles, groups, config, verify_partitions) for lam in grid.values]
     whole = [all_common_partition(len(bundles))] * groups.K
     results = []
     runs = _run_in_order(_fit_and_score, jobs, workers)

@@ -203,6 +203,23 @@ def unequal_pairs(partition, M, mode):
     )
 
 
+def canonical_partition(classes):
+    """Sort members within classes and classes by smallest member."""
+    cs = [tuple(sorted(c)) for c in classes]
+    cs.sort(key=lambda c: c[0])
+    return tuple(cs)
+
+
+def partition_labels(partition):
+    """Label row of a partition: entry m is the smallest member of m's class."""
+    labels = [0] * sum(map(len, partition))
+    for c in partition:
+        low = min(c)
+        for m in c:
+            labels[m] = low
+    return labels
+
+
 def split(partition, A):
     """Split the class holding the datasets of A into A and the rest."""
     out = []

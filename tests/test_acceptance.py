@@ -153,8 +153,7 @@ def test_criterion_1_oracle_equivalence():
         config = BoostConfig(T=20, lam=lam, penalty_mode=mode,
                              algorithm="cd_sboost")
         ctx = build_context(bundles, "lr")
-        init = [all_common_partition(2)] * 2
-        path = _path(ctx, groups, config, init, False)
+        path = _path(ctx, groups, config)
         records = [step for t in range(config.T) for step in path.steps(t)]
         result = cd_sboost_fit(bundles, groups, config)
         trace = result.objective_trace

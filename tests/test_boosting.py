@@ -26,13 +26,11 @@ from cdboost.data import (
     CoefficientState,
     DatasetBundle,
     GroupStructure,
-    all_common_partition,
-    canonical_partition,
+    block_partitions,
     label_classes,
-    ValidationError,
-    partition_labels,
     partition_refresh,
     standardize_columns,
+    ValidationError,
 )
 from cdboost.losses import build_context
 
@@ -42,10 +40,12 @@ from oracles import (
     PenaltySpec,
     brute_cd_path,
     candidate_set,
+    canonical_partition,
     cd_objective,
     commonality_penalty,
     initial_state,
     km_jump_weights,
+    partition_labels,
 )
 
 
@@ -300,32 +300,25 @@ def test_cd_all_zero_response_never_updates():
     assert res.partitions == [((0, 1),)] * 2
 
 
-def test_cd_initial_partitions_override(rng):
+def test_lockstep_path_keeps_singleton_classes(rng):
     bundles = make_lr_bundles(rng, M=3, n=30, p=4)
     groups = tiny_groups(4, 2)
-    singles = [tuple((m,) for m in range(3))] * 2
-    res = cd_sboost_fit(
-        bundles, groups, BoostConfig(T=40, lam=0.0, model="lr"),
-        initial_partitions=singles,
-    )
+    ctx = build_context(bundles, "lr")
+    path = _path(ctx, groups, BoostConfig(T=40, model="lr"), lockstep=True)
     # singletons can never merge
-    assert all(len(c) == 1 for part in res.partitions for c in part)
+    assert path.partitions == [((0,), (1,), (2,))] * 2
+    assert all(len(A) == 1 for t in range(40) for _, A, _ in path.steps(t))
 
 
-@pytest.mark.parametrize("initial", [
-    [((0, 1),)] * 2,            # dataset 2 in no class
-    [((0, 1), (1, 2))] * 2,     # dataset 1 in two classes
-    [((0, 1, 3),)] * 2,         # no dataset 3
-    [((0, 1, 2), ())] * 2,      # an empty class
-    [((0, 1, 2),)],             # one entry for two groups
-    [((0, 1, 2),)] * 3,         # three entries for two groups
-])
-def test_cd_rejects_malformed_initial_partitions(rng, initial):
-    bundles = make_lr_bundles(rng, M=3, n=30, p=4)
-    groups = tiny_groups(4, 2)
-    with pytest.raises(ValidationError, match="initial_partitions"):
-        cd_sboost_fit(bundles, groups, BoostConfig(T=10, model="lr"),
-                      initial_partitions=initial)
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_reported_classes_are_block_partitions(rng, model):
+    """Every fitter reports the exact block classes of its coefficients."""
+    make = make_lr_bundles if model == "lr" else make_aft_bundles
+    bundles = make(rng, M=3, n=30, p=6)
+    groups = tiny_groups(6, 2)
+    for fitter in (cd_sboost_fit, sep_sboost_fit, int_sboost_fit, pool_sboost_fit):
+        res = fitter(bundles, groups, BoostConfig(T=60, lam=0.3, model=model))
+        assert res.partitions == block_partitions(res.beta_hat, groups)
 
 
 def test_cd_deterministic_across_calls(rng):
@@ -451,7 +444,7 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         groups = tiny_groups(5, 2)
         config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
         ctx = build_context(bundles, "lr")
-        path = _path(ctx, groups, config, [all_common_partition(M)] * 2, True)
+        path = _path(ctx, groups, config, verify_partitions=True)
         records = [step for t in range(config.T) for step in path.steps(t)]
         trace = cd_sboost_fit(bundles, groups, config, verify_partitions=True).objective_trace
         b_records, b_trace, _, _ = brute_cd_path(
@@ -591,9 +584,12 @@ def test_reference_code_not_in_package():
         assert not hasattr(boosting, name) and not hasattr(losses, name)
     assert not hasattr(CoefficientState, "initial")
     assert not hasattr(boosting, "PenaltySpec")
-    for name in ("_unequal_pairs", "_split_delta", "_class_containing"):
+    for name in ("_unequal_pairs", "_split_delta", "_class_containing",
+                 "_check_starting_classes"):
         assert not hasattr(boosting, name)
-    assert not hasattr(cdboost.data, "split_class") and not hasattr(cdboost.data, "partition_meet")
+    for name in ("split_class", "partition_meet", "singleton_partitions",
+                 "canonical_partition", "partition_labels", "block_partition"):
+        assert not hasattr(cdboost.data, name)
     for name in ("gen_small_example", "true_covariance", "load_truth"):
         assert not hasattr(simulate, name)
 

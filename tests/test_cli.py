@@ -102,27 +102,36 @@ def reduced_seed1(tmp_path_factory):
 
 # sha256 of `cdboost fit --iters 200` JSON (cd with --lambda auto, sep and
 # pool) on the reduced seed-1 files pinned above, recorded before loading
-# and pooling stopped copying arrays
+# and pooling stopped copying arrays; int and cd at a fixed lambda were
+# recorded before the starting classes were set by the fitter's kind
 _FIT_SEED1_SHA256 = {
     ("lr", True): {
         "cd-sboost": "1cbadab45d040e5c327147b71e52a8f5124a77fd8c0d7c6fe21d9391afea24b2",
         "sep-sboost": "2108465a4ff6f2b9fed2700a10b67dc1f29e04e208cf76ab2d2d606bc4db8a3c",
         "pool-sboost": "efa219c23db3a84cb10d79a4f66069dcbb3bce9541dcc6ea9731375f95138efd",
+        "int-sboost": "d55c32ee350d3da9adb5fdf3d2b18924e261bca68d8a7108eb92801451d943fa",
+        "cd-sboost --lambda 0.5": "2199f0a8903bc5c7f0ae3fa752e28ea6a815e0ab7bdf8e4069e20ae693300e03",
     },
     ("lr", False): {
         "cd-sboost": "deb10730b10ec0a1f488db02ef7bc9dc523ab912234fe134ccbbe51b86440e74",
         "sep-sboost": "5637f0f60efa6e7b04495ff95ca08fda43b095cd133c1f919a0a5063cbf9c7ab",
         "pool-sboost": "84163f5e0fa9a4a399939dc4ff0964338551a3e99eea5f468919aedde2f84b81",
+        "int-sboost": "05d93469a6db3d274d6522c94f5cf8ea585dcf43d07a67cff22e05cc3d7dc916",
+        "cd-sboost --lambda 0.5": "048026b4de2b5470f550559e83f9910805d9e986ac1082bac0f8b404a8c3fa1c",
     },
     ("aft", True): {
         "cd-sboost": "3fdde6b252d29fea0d6f79fed220ed8fcbac53e8564fd0947d4dd7844205ed25",
         "sep-sboost": "19c239d99b695a29a3a2c987fe30ad2c63f4a2a2edfcefa1d8827b4b5657007b",
         "pool-sboost": "a63a515245ad30be78b5ca170299e1793f25aa7b71464598cf40edf928720b16",
+        "int-sboost": "8a3b4a859a3276399a168497defd3fbcce394a17a5f1d850c73dfaefb4127497",
+        "cd-sboost --lambda 0.5": "7f168e37397759cf49545831d363c288ed5b430d92566b02b1882df4ecbf0237",
     },
     ("aft", False): {
         "cd-sboost": "9ed907d6fe86eb2a7b333e46ae944b8485a9bead4dc123a454fe2e356d05acb7",
         "sep-sboost": "47cf6c5391195565112bf7f3638e8220f33a4263e233ac4be1424e8e0b242e2f",
         "pool-sboost": "0cce1245ed9d9124805621bc4b4d63c2e740dd4bba5a6798546df6b384dcf4b0",
+        "int-sboost": "7db846f1a7f4c97115df89763a30da2d3859f1f7f084155f7266eb7b0d1ae0cd",
+        "cd-sboost --lambda 0.5": "75a27b65a5ca0eb1952f98c41d217e5c0203198d092fc8da53ba9f3d7f51dc3e",
     },
 }
 
@@ -138,11 +147,12 @@ def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
     if not standardize:
         argv.append("--no-standardize")
     got = {}
-    for method, flags in (("cd-sboost", ["--lambda", "auto"]), ("sep-sboost", []),
-                          ("pool-sboost", [])):
-        out = data / f"{method}-{standardize}.json"
-        assert main([*argv, "--method", method, *flags, "--output", str(out)]) == 0
-        got[method] = hashlib.sha256(out.read_bytes()).hexdigest()
+    for label, flags in (("cd-sboost", ["--lambda", "auto"]), ("sep-sboost", []),
+                         ("pool-sboost", []), ("int-sboost", []),
+                         ("cd-sboost --lambda 0.5", ["--lambda", "0.5"])):
+        out = data / f"{label.replace(' ', '')}-{standardize}.json"
+        assert main([*argv, "--method", label.split()[0], *flags, "--output", str(out)]) == 0
+        got[label] = hashlib.sha256(out.read_bytes()).hexdigest()
     capsys.readouterr()
     assert got == _FIT_SEED1_SHA256[model, standardize]
 
@@ -416,6 +426,10 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("simulate-outdir-is-file", 3),
     ("simulate-outdir-under-file", 3),
     ("fit-output-under-file", 3),
+    ("fit-overflow-cd", 4),
+    ("fit-overflow-sep", 4),
+    ("fit-overflow-pool", 4),
+    ("stability-overflow", 4),
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     paths, groups = _write_problem(tmp_path, rng)
@@ -428,6 +442,12 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     (tmp_path / "dup.tsv").write_text("x1\t1\nx2\t2\n")
     plain = tmp_path / "plain.txt"
     plain.write_text("")
+    # finite cells near 1e200, whose squared norms overflow
+    big = [str(tmp_path / f"big_{m}.csv") for m in range(2)]
+    for path in big:
+        write_dataset_csv(path, 1e200 * rng.standard_normal((12, 6)),
+                          1e200 * rng.standard_normal(12))
+    big_fit = ["--data", *big, "--groups", groups, "--no-standardize", "--iters", "5"]
     fit = ["fit", "--data", *paths, "--groups", groups, "--iters", "5"]
     argv = {
         "simulate-rho-nan": [*_SIM, *outdir, "--rho", "0.8,0.2,nan"],
@@ -459,6 +479,10 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "simulate-outdir-is-file": [*_SIM, "--outdir", str(plain)],
         "simulate-outdir-under-file": [*_SIM, "--outdir", str(plain / "sub")],
         "fit-output-under-file": [*fit, "--lambda", "0", "--output", str(plain / "x.json")],
+        "fit-overflow-cd": ["fit", *big_fit, "--lambda", "0.5"],
+        "fit-overflow-sep": ["fit", *big_fit, "--method", "sep-sboost"],
+        "fit-overflow-pool": ["fit", *big_fit, "--method", "pool-sboost"],
+        "stability-overflow": ["stability", *big_fit, "--splits", "2", "--lambda", "0.5"],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err

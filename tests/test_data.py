@@ -18,18 +18,15 @@ from cdboost.data import (
     adjacent_equal_pairs,
     all_common_partition,
     block_labels,
-    block_partition,
-    canonical_partition,
+    block_partitions,
     CoefficientState,
     equal_columns,
     label_classes,
     load_bundles,
     load_dataset_csv,
-    partition_labels,
     partition_refresh,
     read_dataset_csv,
     read_groups_tsv,
-    singleton_partitions,
     standardize_columns,
     validate,
     write_dataset_csv,
@@ -116,11 +113,10 @@ def test_standardize_constant_column_centered_only():
 
 def test_partition_helpers():
     assert all_common_partition(3) == ((0, 1, 2),)
-    assert singleton_partitions(3, 2) == [((0,), (1,), (2,))] * 2
 
 
 def test_canonical_partition_sorts():
-    assert canonical_partition([(2, 1), (0,)]) == ((0,), (1, 2))
+    assert oracles.canonical_partition([(2, 1), (0,)]) == ((0,), (1, 2))
 
 
 def test_partition_refresh_zero_beta_all_common():
@@ -153,11 +149,10 @@ def test_block_partition_exact_comparison():
         [False, False, False, False, False],
     ]
     # -0.0 equals 0.0; a NaN column equals nothing and stays alone
-    assert block_partition(block) == ((0, 1), (2,), (3,), (4,))
-    assert block_partition(np.empty((0, 3))) == ((0, 1, 2),)
-    # met with starting labels: equal columns in different classes stay apart
-    assert block_labels(block, [0, 1, 2, 2, 2]) == [0, 1, 2, 3, 4]
-    assert block_labels(np.zeros((2, 4)), partition_labels(((0, 3), (1, 2)))) == [0, 1, 1, 0]
+    assert block_labels(block) == [0, 0, 2, 3, 4]
+    assert block_partitions(block, GroupStructure(assignment=[0, 0])) == \
+        [((0, 1), (2,), (3,), (4,))]
+    assert block_labels(np.empty((0, 3))) == [0, 0, 0]
     assert label_classes([0, 1, 1, 0]) == ((0, 3), (1, 2))
 
 

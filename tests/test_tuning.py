@@ -13,7 +13,6 @@ from cdboost.data import (
     GroupStructure,
     ValidationError,
     all_common_partition,
-    canonical_partition,
 )
 from cdboost.boosting import cd_sboost_fit, fit as run_fit
 from cdboost.metrics import group_tp_fp
@@ -124,13 +123,13 @@ def test_grid_validation():
 # ---------------------------------------------------------------------------
 
 
-def _fresh_grid(bundles, groups, config, values, **fit_kwargs):
+def _fresh_grid(bundles, groups, config, values, verify_partitions=False):
     """(score, fit) of every grid value, each fitted from scratch."""
     out = []
     for lam in values:
         cfg = BoostConfig(nu=config.nu, T=config.T, lam=lam, algorithm="cd_sboost",
                           model=config.model, penalty_mode=config.penalty_mode)
-        fit = cd_sboost_fit(bundles, groups, cfg, **fit_kwargs)
+        fit = cd_sboost_fit(bundles, groups, cfg, verify_partitions=verify_partitions)
         out.append((hdbic(fit, bundles), fit))
     return out
 
@@ -215,28 +214,22 @@ def test_select_lambda_rewards_commonality():
 
 @settings(max_examples=60, deadline=None)
 @given(M=st.integers(1, 4), mode=st.sampled_from(["all_pairs", "ordered"]),
-       model=st.sampled_from(["lr", "aft"]), mixed=st.booleans(),
+       model=st.sampled_from(["lr", "aft"]),
        values=st.lists(st.sampled_from([0.0, 0.02, 0.2, 1.0, 5.0, 50.0, 1e4]),
                        min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
-def test_select_lambda_reuse_is_bit_identical(M, mode, model, mixed, values, seed):
+def test_select_lambda_reuse_is_bit_identical(M, mode, model, values, seed):
     """Scores, fits and choice equal fitting every grid value from scratch,
-    byte for byte, for all-common and mixed starting partitions and grids
-    with duplicate values."""
+    byte for byte, with partitions verified and grids with duplicate
+    values."""
     rng = np.random.default_rng(seed)
     make = make_lr_bundles if model == "lr" else make_aft_bundles
     bundles = make(rng, M=M, n=int(rng.integers(12, 20)), p=6)
     groups = tiny_groups(6, 3)
-    init = None
-    if mixed:
-        init = [canonical_partition(
-            tuple(tuple(int(m) for m in np.nonzero(labels == c)[0]) for c in set(labels)))
-            for labels in rng.integers(0, 2, size=(3, M))]
     config = BoostConfig(T=15, algorithm="cd_sboost", model=model, penalty_mode=mode)
     grid = LambdaGrid(values=tuple(sorted(values)))
-    kwargs = dict(initial_partitions=init, verify_partitions=True)
-    lam, fit = select_lambda(bundles, groups, config, grid=grid, **kwargs)
-    fresh = _fresh_grid(bundles, groups, config, grid.values, **kwargs)
+    lam, fit = select_lambda(bundles, groups, config, grid=grid, verify_partitions=True)
+    fresh = _fresh_grid(bundles, groups, config, grid.values, verify_partitions=True)
     assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
     assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for _, f in fresh]
     best = min(range(len(fresh)), key=lambda i: (fresh[i][0], i))
