@@ -53,7 +53,7 @@ from .data import (
     label_classes,
     validate,
 )
-from .losses import LossContext, build_context
+from .losses import LossContext, build_context, survival_order
 
 
 def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> bool:
@@ -336,14 +336,13 @@ def sboost_fit(bundle: DatasetBundle, groups: GroupStructure, config: BoostConfi
 def _pooled_bundle(bundles) -> DatasetBundle:
     """All datasets' rows as one bundle.  LR stacks them in dataset order.
     AFT writes each dataset's rows once, straight to their places in the
-    stable survival order of the stacked rows, which is the order
-    ``build_context`` sorts them in; it then finds them sorted and makes
-    no second copy."""
+    ``survival_order`` of the stacked rows, which ``build_context`` sorts
+    them in too; it then finds them sorted and makes no second copy."""
     y = np.concatenate([b.y for b in bundles])
     if bundles[0].delta is None:
         return DatasetBundle(X=np.vstack([b.X for b in bundles]), y=y, id=0)
     delta = np.concatenate([b.delta for b in bundles])
-    order = np.lexsort((1 - delta, y))
+    order = survival_order(y, delta)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     X = np.empty((y.size, bundles[0].p))

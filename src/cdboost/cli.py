@@ -27,7 +27,7 @@ from .data import (
     read_groups_tsv,
 )
 from .metrics import benchmark, canonical_method, stability
-from .simulate import SimDesign, small_example_design, write_simulation
+from .simulate import SMALL_EXAMPLE_SCENARIOS, SimDesign, small_example_design, write_simulation
 from .tuning import default_lambda_grid, hdbic, select_lambda, LambdaGrid
 
 _PRESETS = {
@@ -43,8 +43,6 @@ _DESIGNS = {
     "S3": ("fixed", 1.0),
     "S4": ("fixed", 3.0),
 }
-
-_SMALL_EXAMPLE_SCENARIOS = ("full", "none", "partial_a", "partial_b")
 
 # config-file keys whose argparse destination differs
 _KEY_ALIASES = {"lambda": "lam"}
@@ -223,20 +221,16 @@ def _methods(args) -> list[str]:
 def _design_from_args(args) -> SimDesign:
     base = dict(_PRESETS[args.preset])
     for field in ("n", "p", "K"):
-        value = getattr(args, field.lower(), None)
+        value = getattr(args, field.lower())
         if value is not None:
             base[field] = value
     rho = _parse_rho(args.rho)
     scheme, sigma2 = _DESIGNS[args.design] if args.design else ("random", 1.0)
-    if args.scheme is not None:
-        scheme = args.scheme
-    if args.sigma2 is not None:
-        sigma2 = args.sigma2
     return SimDesign(
         M=3, rho_f=rho[0], rho_p=rho[1], rho_n=rho[2],
-        coef_scheme=scheme, sigma2=sigma2,
-        model=args.model if args.model != "auto" else "lr",
-        seed=args.seed, **base,
+        coef_scheme=args.scheme or scheme,
+        sigma2=sigma2 if args.sigma2 is None else args.sigma2,
+        model=args.model, seed=args.seed, **base,
     )
 
 
@@ -287,7 +281,7 @@ def cmd_simulate(args) -> int:
     scenarios = None
     if args.preset == "small-example":
         design = small_example_design(args.seed, args.model)
-        scenarios = _SMALL_EXAMPLE_SCENARIOS
+        scenarios = SMALL_EXAMPLE_SCENARIOS
     else:
         design = _design_from_args(args)
     paths, groups_path, truth_path = write_simulation(
@@ -356,6 +350,39 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--config", help="key=value defaults file; flags win")
 
 
+def _add_seed_flag(sub, **kwargs):
+    sub.add_argument("--seed", type=int, **kwargs)
+
+
+def _add_design_flags(sub, extra_presets=()):
+    """The simulation design flags of ``simulate`` and ``benchmark``."""
+    sub.add_argument("--preset", default="standard",
+                     choices=("standard", "reduced", *extra_presets, "table2"),
+                     help="design preset (default standard: n=200, p=1000, K=20)")
+    sub.add_argument("--rho", default="0.8,0.2,0",
+                     help="scenario proportions full,partial,none")
+    sub.add_argument("--design", choices=sorted(_DESIGNS),
+                     help="named scheme/noise pairing (overridden by --scheme/--sigma2)")
+    sub.add_argument("--scheme", choices=("random", "fixed"))
+    sub.add_argument("--sigma2", type=float)
+    sub.add_argument("--model", choices=("lr", "aft"), default="lr")
+    sub.add_argument("--n", type=int, help="override subjects per dataset")
+    sub.add_argument("--p", type=int, help="override covariate count")
+    sub.add_argument("--k", type=int, help="override group count")
+    _add_seed_flag(sub, required=True)
+
+
+def _add_data_flags(sub):
+    """The input and output flags of ``fit`` and ``stability``."""
+    sub.add_argument("--data", nargs="+", required=True, metavar="CSV",
+                     help="one CSV per dataset, shared covariate columns")
+    sub.add_argument("--groups", required=True, help="TSV: covariate<TAB>group id")
+    sub.add_argument("--model", choices=("auto", "lr", "aft"), default="auto")
+    sub.add_argument("--no-standardize", action="store_true",
+                     help="skip column standardization on load")
+    sub.add_argument("--output", help="output JSON path (default stdout)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdboost",
@@ -365,56 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit one method on CSV datasets")
-    p_fit.add_argument("--data", nargs="+", required=True, metavar="CSV",
-                       help="one CSV per dataset, shared covariate columns")
-    p_fit.add_argument("--groups", required=True, help="TSV: covariate<TAB>group id")
+    _add_data_flags(p_fit)
     p_fit.add_argument("--method", default="cd-sboost",
                        help="cd-sboost | int-sboost | sep-sboost | pool-sboost | sboost")
-    p_fit.add_argument("--model", choices=("auto", "lr", "aft"), default="auto")
     p_fit.add_argument("--grid", help="comma-separated lambda grid for --lambda auto")
-    p_fit.add_argument("--no-standardize", action="store_true",
-                       help="skip column standardization on load")
-    p_fit.add_argument("--output", help="output JSON path (default stdout)")
     _add_common_fit_flags(p_fit)
     p_fit.set_defaults(handler=cmd_fit, subparser=p_fit)
 
     p_sim = sub.add_parser("simulate", help="write synthetic dataset files")
-    p_sim.add_argument("--preset", default="standard",
-                       choices=("standard", "reduced", "small-example", "table2"),
-                       help="design preset (default standard: n=200, p=1000, K=20)")
-    p_sim.add_argument("--rho", default="0.8,0.2,0",
-                       help="scenario proportions full,partial,none")
-    p_sim.add_argument("--design", choices=sorted(_DESIGNS),
-                       help="named scheme/noise pairing (overridden by "
-                            "--scheme/--sigma2)")
-    p_sim.add_argument("--scheme", choices=("random", "fixed"))
-    p_sim.add_argument("--sigma2", type=float)
-    p_sim.add_argument("--model", choices=("lr", "aft"), default="lr")
-    p_sim.add_argument("--n", type=int, help="override subjects per dataset")
-    p_sim.add_argument("--p", type=int, help="override covariate count")
-    p_sim.add_argument("--k", dest="k", type=int, help="override group count")
-    p_sim.add_argument("--seed", type=int, required=True)
+    _add_design_flags(p_sim, extra_presets=("small-example",))
     p_sim.add_argument("--replicate", type=int, default=0)
     p_sim.add_argument("--outdir", required=True)
     p_sim.add_argument("--config", help="key=value defaults file; flags win")
     p_sim.set_defaults(handler=cmd_simulate, subparser=p_sim)
 
     p_bench = sub.add_parser("benchmark", help="simulate, fit, and score methods")
-    p_bench.add_argument("--preset", default="standard",
-                         choices=("standard", "reduced", "table2"))
-    p_bench.add_argument("--rho", default="0.8,0.2,0")
-    p_bench.add_argument("--design", choices=sorted(_DESIGNS),
-                         help="named scheme/noise pairing (overridden by "
-                              "--scheme/--sigma2)")
-    p_bench.add_argument("--scheme", choices=("random", "fixed"))
-    p_bench.add_argument("--sigma2", type=float)
-    p_bench.add_argument("--model", choices=("lr", "aft"), default="lr")
-    p_bench.add_argument("--n", type=int)
-    p_bench.add_argument("--p", type=int)
-    p_bench.add_argument("--k", dest="k", type=int)
+    _add_design_flags(p_bench)
     p_bench.add_argument("--methods", default="cd,int,sep,pool")
     p_bench.add_argument("--replicates", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, required=True)
     p_bench.add_argument("--no-verify", action="store_true",
                          help="skip per-iteration partition cross-checks")
     p_bench.add_argument("--table", help="also write the text table here")
@@ -423,14 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(handler=cmd_benchmark, subparser=p_bench)
 
     p_stab = sub.add_parser("stability", help="repeated-split selection stability")
-    p_stab.add_argument("--data", nargs="+", required=True, metavar="CSV")
-    p_stab.add_argument("--groups", required=True)
+    _add_data_flags(p_stab)
     p_stab.add_argument("--methods", default="cd")
-    p_stab.add_argument("--model", choices=("auto", "lr", "aft"), default="auto")
     p_stab.add_argument("--splits", type=int, default=100)
-    p_stab.add_argument("--seed", type=int, default=0)
-    p_stab.add_argument("--no-standardize", action="store_true")
-    p_stab.add_argument("--output", help="output JSON path (default stdout)")
+    _add_seed_flag(p_stab, default=0)
     _add_common_fit_flags(p_stab)
     p_stab.set_defaults(handler=cmd_stability, subparser=p_stab)
 

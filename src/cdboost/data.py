@@ -456,9 +456,14 @@ def _by_column_blocks(reduce, X: np.ndarray) -> np.ndarray:
 def standardize_columns(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Center to mean 0 and scale to unit variance; constant columns are
     centered only.  The result goes into ``out``, which may be ``X`` itself
-    (standardizing in place), or into a new array; either is returned."""
-    mu = _by_column_blocks(np.mean, X)
-    sd = _by_column_blocks(np.std, X)  # one block's deviations at a time
+    (standardizing in place), or into a new array; either is returned.
+    A column whose mean or deviation overflows raises ``NumericError``:
+    scaling by an infinite deviation would turn it into zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _by_column_blocks(np.mean, X)
+        sd = _by_column_blocks(np.std, X)  # one block's deviations at a time
+    if not (np.isfinite(mu).all() and np.isfinite(sd).all()):
+        raise NumericError("a column mean or standard deviation overflows; rescale the data")
     sd = np.where(sd > 0, sd, 1.0)
     # the same IEEE operations as (X - mu) / sd
     out = np.subtract(X, mu, out=out)
@@ -475,7 +480,10 @@ def load_dataset_csv(path, id: int = 0, standardize: bool = True) -> tuple[Datas
     """
     X, y, delta, names = read_dataset_csv(path)
     if standardize:
-        standardize_columns(X, out=X)
+        try:
+            standardize_columns(X, out=X)
+        except NumericError as exc:
+            raise NumericError(f"{path}: {exc}") from None
     return DatasetBundle(X=X, y=y, delta=delta, id=id), names
 
 

@@ -32,12 +32,10 @@ class LossContext:
     Kaplan-Meier weights.
     """
 
-    model: str
     X: list[np.ndarray]
     y: list[np.ndarray]
     weights: list[np.ndarray]
     col_norms: list[np.ndarray]  # per dataset: sum_i w_i x_is^2 for each s
-    n_obs: list[int]
     n_events: list[int]
     penalty_factor: list[float]  # log(n)/n per dataset
 
@@ -71,6 +69,12 @@ def km_weights(y_sorted: np.ndarray, delta_sorted: np.ndarray) -> np.ndarray:
     return w
 
 
+def survival_order(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Row order by observed log-time, events before censored on ties,
+    stable within: the order the AFT loss and its weights are taken in."""
+    return np.lexsort((1 - delta, y))
+
+
 def _col_norms(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i x_is^2 for each column s: the bits of
     ``(w[:, None] * X * X).sum(axis=0)``, one column block at a time."""
@@ -93,12 +97,11 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
     a response energy ``w @ (y * y)`` that overflows raises ``NumericError``:
     no increment or loss of such data would be finite.
     """
-    Xs, ys, ws, norms, n_obs, n_events, pf = [], [], [], [], [], [], []
+    Xs, ys, ws, norms, n_events, pf = [], [], [], [], [], []
     for b in bundles:
         n = b.n
         if model == "aft":
-            # events before censored on ties, stable within
-            order = np.lexsort((1 - b.delta, b.y))
+            order = survival_order(b.y, b.delta)
             in_order = (order == np.arange(n)).all()
             X = np.ascontiguousarray(b.X if in_order else b.X[order])
             y = b.y[order]
@@ -125,9 +128,6 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
         ys.append(y)
         ws.append(w)
         norms.append(cn)
-        n_obs.append(n)
         pf.append(np.log(n) / n)
-    return LossContext(
-        model=model, X=Xs, y=ys, weights=ws, col_norms=norms,
-        n_obs=n_obs, n_events=n_events, penalty_factor=pf,
-    )
+    return LossContext(X=Xs, y=ys, weights=ws, col_norms=norms,
+                       n_events=n_events, penalty_factor=pf)

@@ -5,10 +5,10 @@ Three dataset-level commonality scenarios are allocated to covariate groups:
 coefficients), ``partial`` (two of three datasets share: sub-case (a) is
 datasets 1 and 2, sub-case (b) is datasets 2 and 3), and ``none`` (every
 dataset has its own important pair).  Each group carries exactly two
-important covariates per dataset.  Under the ``random`` coefficient scheme,
-coefficients appearing in dataset 2 (shared or not) are U[0.4, 0.7],
-dataset-1-specific ones U[0.1, 0.3], dataset-3-specific ones U[0.8, 1];
-under the ``fixed`` scheme every nonzero equals ``coef_value``.
+important covariates per dataset.  ``_LAYOUT`` is the one statement of the
+scenarios: for each, which datasets share each important pair and the
+uniform range its coefficients are drawn from under the ``random`` scheme.
+Under the ``fixed`` scheme every nonzero equals ``coef_value``.
 
 Covariates follow a per-group autoregressive structure, optionally mixed
 with a global factor: two covariates of the same group at positions i and j
@@ -52,7 +52,16 @@ P_SPLIT = 6
 
 _SIZE_PATTERN = (20, 30, 40, 50, 60, 70, 80)
 
-SCENARIOS = ("full", "partial_a", "partial_b", "none")
+# per scenario, one (datasets, (lo, hi)) entry per important pair of a
+# group, in draw order: the pair's coefficients are shared by ``datasets``
+# and drawn from U[lo, hi] under the random scheme
+_LAYOUT = {
+    "full": [((0, 1, 2), (0.4, 0.7))],
+    "partial_a": [((0, 1), (0.4, 0.7)), ((2,), (0.8, 1.0))],
+    "partial_b": [((0,), (0.1, 0.3)), ((1, 2), (0.4, 0.7))],
+    "none": [((0,), (0.1, 0.3)), ((1,), (0.4, 0.7)), ((2,), (0.8, 1.0))],
+}
+SCENARIOS = tuple(_LAYOUT)
 
 
 class CalibrationError(NumericError):
@@ -186,10 +195,6 @@ def _scenario_assignment(design: SimDesign, rng) -> tuple[str, ...]:
     return tuple(label[k] for k in range(design.K))
 
 
-# distinct important pairs needed inside one group, per scenario
-_PAIRS_NEEDED = {"full": 1, "partial_a": 2, "partial_b": 2, "none": 3}
-
-
 def gen_truth(design: SimDesign, replicate: int = 0,
               scenarios: tuple[str, ...] | None = None) -> GroundTruth:
     """Allocate scenarios to groups and draw the true coefficients.
@@ -210,28 +215,19 @@ def gen_truth(design: SimDesign, replicate: int = 0,
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     beta = np.zeros((design.p, design.M))
 
-    def draw(lo, hi, count=2):
+    def draw(lo, hi):
         if design.coef_scheme == "fixed":
-            return np.full(count, design.coef_value)
-        return rng.uniform(lo, hi, count)
+            return np.full(2, design.coef_value)
+        return rng.uniform(lo, hi, 2)
 
     for k, scen in enumerate(scenarios):
-        need = 2 * _PAIRS_NEEDED[scen]
+        layout = _LAYOUT[scen]
+        need = 2 * len(layout)
         if sizes[k] < need:
             raise ValidationError(f"group {k} of size {sizes[k]} cannot host {need} importants")
         pos = offsets[k] + rng.choice(sizes[k], need, replace=False)
-        if scen == "full":
-            beta[pos, :] = draw(0.4, 0.7)[:, None]
-        elif scen == "partial_a":
-            beta[pos[:2], 0] = beta[pos[:2], 1] = draw(0.4, 0.7)
-            beta[pos[2:], 2] = draw(0.8, 1.0)
-        elif scen == "partial_b":
-            beta[pos[:2], 0] = draw(0.1, 0.3)
-            beta[pos[2:], 1] = beta[pos[2:], 2] = draw(0.4, 0.7)
-        else:
-            beta[pos[:2], 0] = draw(0.1, 0.3)
-            beta[pos[2:4], 1] = draw(0.4, 0.7)
-            beta[pos[4:], 2] = draw(0.8, 1.0)
+        for i, (datasets, (lo, hi)) in enumerate(layout):
+            beta[np.ix_(pos[2 * i:2 * i + 2], datasets)] = draw(lo, hi)[:, None]
 
     important = tuple(
         tuple(int(j) for j in np.flatnonzero(beta[:, m])) for m in range(design.M)
@@ -346,6 +342,10 @@ def simulate_replicate(design: SimDesign, replicate: int = 0,
         for m, (y, delta) in enumerate(resp)
     ]
     return bundles, truth
+
+
+# the small example's groups, one per scenario
+SMALL_EXAMPLE_SCENARIOS = ("full", "none", "partial_a", "partial_b")
 
 
 def small_example_design(seed: int = 0, model: str = "lr") -> SimDesign:

@@ -55,7 +55,7 @@ def hdbic(fit, bundles) -> float:
                 rss = RSS_FLOOR
             total += n_eff * math.log(rss) + df * log_p * math.log(n_eff)
         else:
-            n = ctx.n_obs[m]
+            n = ctx.y[m].size
             rss = float(r @ r)
             if rss < RSS_FLOOR:
                 warnings.warn(f"dataset {m}: RSS floored at {RSS_FLOOR}")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files in, JSON out, exit codes."""
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -89,6 +90,49 @@ def test_simulate_bytes_pinned(tmp_path, capsys, model):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(out.iterdir())}
     assert got == _REDUCED_SEED1_SHA256[model]
+
+
+# sha256 of every file of the small example (seed 0, lr and aft) and of
+# the reduced preset under the fixed scheme with every scenario drawn,
+# recorded before the scenarios were stated as one table
+_SCENARIO_SHA256 = {
+    "small-example lr": {
+        "dataset_1.csv": "25e986f418f4d79984c25c9095055afece56a8b802c59922c2ca655ecb387032",
+        "dataset_2.csv": "23aff289f8a5f062e5da9a88af8f55a5f4c240c45bf4ad21bcebc146de4bbfbc",
+        "dataset_3.csv": "100058a47edbc5a389db85d7bd3f7b5925ce474bff09b438ab0f67fae7e45641",
+        "groups.tsv": "f251786b532630fc5ebb60ff8e991267f4276b995ea8e890a93cc3c0733abfaa",
+        "truth.json": "6f436fac942b6aa89cb87cfd00f8bb93446456769a1f3841d28a803d7d64fa09",
+    },
+    "small-example aft": {
+        "dataset_1.csv": "61225a12fde16fb78d142b95496a85b34070800940138a930477021f7d0ad6d5",
+        "dataset_2.csv": "ecf48f348aee08a64e9fd9c3073590037ea5c45b2747ae83a00c93879fb5f116",
+        "dataset_3.csv": "3e81dd80931aa267356fa197de641773098a9591f60d3615b55999e7e0362c25",
+        "groups.tsv": "f251786b532630fc5ebb60ff8e991267f4276b995ea8e890a93cc3c0733abfaa",
+        "truth.json": "442b0766f48444d20ec63b58c4ef84329e3b6dffaa2c54193ea4e01eeaed9eeb",
+    },
+    "reduced S3 aft": {
+        "dataset_1.csv": "048ea91d508eed256220ce3ed3a64821d1fd3cfec81d36c90f8ba3a2a3a1a3c8",
+        "dataset_2.csv": "dfb7d1663dadb1dddb3c6df34b2f7316090292032a3e5d0c387df08bf865a085",
+        "dataset_3.csv": "74ec57d3276b6802160b018b27ec19082f91181801788f4407fda5cc04b8036c",
+        "groups.tsv": "cdb0f088e55e085894f71168aff1816ce2c713ccc26658a442fa0560cbb99f00",
+        "truth.json": "a590127c3f119bf3080e7261d646cae2f784f3dfa65157a1afc93c3d91b46ac4",
+    },
+}
+
+
+@pytest.mark.parametrize("label, flags", [
+    ("small-example lr", ["--preset", "small-example", "--seed", "0"]),
+    ("small-example aft", ["--preset", "small-example", "--model", "aft", "--seed", "0"]),
+    ("reduced S3 aft", ["--preset", "reduced", "--rho", "0.4,0.3,0.3", "--design", "S3",
+                        "--model", "aft", "--seed", "1"]),
+])
+def test_simulate_scenario_bytes_pinned(tmp_path, capsys, label, flags):
+    out = tmp_path / "sim"
+    assert main(["simulate", *flags, "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.iterdir())}
+    assert got == _SCENARIO_SHA256[label]
 
 
 @pytest.fixture(scope="module")
@@ -430,6 +474,10 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("fit-overflow-sep", 4),
     ("fit-overflow-pool", 4),
     ("stability-overflow", 4),
+    ("fit-overflow-standardized-cd", 4),
+    ("fit-overflow-standardized-sep", 4),
+    ("fit-overflow-standardized-pool", 4),
+    ("stability-overflow-standardized", 4),
 ])
 def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     paths, groups = _write_problem(tmp_path, rng)
@@ -448,6 +496,14 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         write_dataset_csv(path, 1e200 * rng.standard_normal((12, 6)),
                           1e200 * rng.standard_normal(12))
     big_fit = ["--data", *big, "--groups", groups, "--no-standardize", "--iters", "5"]
+    # standardized: one column near 1e200 under a moderate y, whose
+    # deviation overflows on load (it used to scale the column to zeros)
+    wide = [str(tmp_path / f"big_column_{m}.csv") for m in range(2)]
+    for path in wide:
+        X = rng.standard_normal((12, 6))
+        X[:, 0] *= 1e200
+        write_dataset_csv(path, X, rng.standard_normal(12))
+    big_std = ["--data", *wide, "--groups", groups, "--iters", "5"]
     fit = ["fit", "--data", *paths, "--groups", groups, "--iters", "5"]
     argv = {
         "simulate-rho-nan": [*_SIM, *outdir, "--rho", "0.8,0.2,nan"],
@@ -483,6 +539,11 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "fit-overflow-sep": ["fit", *big_fit, "--method", "sep-sboost"],
         "fit-overflow-pool": ["fit", *big_fit, "--method", "pool-sboost"],
         "stability-overflow": ["stability", *big_fit, "--splits", "2", "--lambda", "0.5"],
+        "fit-overflow-standardized-cd": ["fit", *big_std, "--lambda", "0.5"],
+        "fit-overflow-standardized-sep": ["fit", *big_std, "--method", "sep-sboost"],
+        "fit-overflow-standardized-pool": ["fit", *big_std, "--method", "pool-sboost"],
+        "stability-overflow-standardized": ["stability", *big_std, "--splits", "2",
+                                            "--lambda", "0.5"],
     }[case]
     assert main(argv) == want
     err = capsys.readouterr().err
@@ -664,6 +725,101 @@ def test_stability_cli_smoke(tmp_path, capsys, rng):
     assert set(payload["results"]) == {"cd", "pool"}
     for stats in payload["results"].values():
         assert 0.0 <= stats["ooi"] <= 1.0
+
+
+# every option of each subcommand: (flag, dest, default, choices, required,
+# nargs, type), recorded before shared flags were defined once; --workers'
+# default is read with CDBOOST_WORKERS unset
+_OPTIONS = {
+    "fit": [
+        ("--config", "config", None, None, False, None, None),
+        ("--data", "data", None, None, True, "+", None),
+        ("--grid", "grid", None, None, False, None, None),
+        ("--groups", "groups", None, None, True, None, None),
+        ("--iters", "iters", 500, None, False, None, "int"),
+        ("--lambda", "lam", "auto", None, False, None, None),
+        ("--method", "method", "cd-sboost", None, False, None, None),
+        ("--model", "model", "auto", ("auto", "lr", "aft"), False, None, None),
+        ("--no-standardize", "no_standardize", False, None, False, 0, None),
+        ("--nu", "nu", 0.1, None, False, None, "float"),
+        ("--output", "output", None, None, False, None, None),
+        ("--penalty-mode", "penalty_mode", "all_pairs", ("all_pairs", "ordered"), False, None,
+         None),
+        ("--workers", "workers", 1, None, False, None, "int"),
+    ],
+    "simulate": [
+        ("--config", "config", None, None, False, None, None),
+        ("--design", "design", None, ("S1", "S2", "S3", "S4"), False, None, None),
+        ("--k", "k", None, None, False, None, "int"),
+        ("--model", "model", "lr", ("lr", "aft"), False, None, None),
+        ("--n", "n", None, None, False, None, "int"),
+        ("--outdir", "outdir", None, None, True, None, None),
+        ("--p", "p", None, None, False, None, "int"),
+        ("--preset", "preset", "standard",
+         ("standard", "reduced", "small-example", "table2"), False, None, None),
+        ("--replicate", "replicate", 0, None, False, None, "int"),
+        ("--rho", "rho", "0.8,0.2,0", None, False, None, None),
+        ("--scheme", "scheme", None, ("random", "fixed"), False, None, None),
+        ("--seed", "seed", None, None, True, None, "int"),
+        ("--sigma2", "sigma2", None, None, False, None, "float"),
+    ],
+    "benchmark": [
+        ("--config", "config", None, None, False, None, None),
+        ("--design", "design", None, ("S1", "S2", "S3", "S4"), False, None, None),
+        ("--iters", "iters", 500, None, False, None, "int"),
+        ("--k", "k", None, None, False, None, "int"),
+        ("--lambda", "lam", "auto", None, False, None, None),
+        ("--methods", "methods", "cd,int,sep,pool", None, False, None, None),
+        ("--model", "model", "lr", ("lr", "aft"), False, None, None),
+        ("--n", "n", None, None, False, None, "int"),
+        ("--no-verify", "no_verify", False, None, False, 0, None),
+        ("--nu", "nu", 0.1, None, False, None, "float"),
+        ("--output", "output", None, None, False, None, None),
+        ("--p", "p", None, None, False, None, "int"),
+        ("--penalty-mode", "penalty_mode", "all_pairs", ("all_pairs", "ordered"), False, None,
+         None),
+        ("--preset", "preset", "standard", ("standard", "reduced", "table2"), False, None, None),
+        ("--replicates", "replicates", 20, None, False, None, "int"),
+        ("--rho", "rho", "0.8,0.2,0", None, False, None, None),
+        ("--scheme", "scheme", None, ("random", "fixed"), False, None, None),
+        ("--seed", "seed", None, None, True, None, "int"),
+        ("--sigma2", "sigma2", None, None, False, None, "float"),
+        ("--table", "table", None, None, False, None, None),
+        ("--workers", "workers", 1, None, False, None, "int"),
+    ],
+    "stability": [
+        ("--config", "config", None, None, False, None, None),
+        ("--data", "data", None, None, True, "+", None),
+        ("--groups", "groups", None, None, True, None, None),
+        ("--iters", "iters", 500, None, False, None, "int"),
+        ("--lambda", "lam", "auto", None, False, None, None),
+        ("--methods", "methods", "cd", None, False, None, None),
+        ("--model", "model", "auto", ("auto", "lr", "aft"), False, None, None),
+        ("--no-standardize", "no_standardize", False, None, False, 0, None),
+        ("--nu", "nu", 0.1, None, False, None, "float"),
+        ("--output", "output", None, None, False, None, None),
+        ("--penalty-mode", "penalty_mode", "all_pairs", ("all_pairs", "ordered"), False, None,
+         None),
+        ("--seed", "seed", 0, None, False, None, "int"),
+        ("--splits", "splits", 100, None, False, None, "int"),
+        ("--workers", "workers", 1, None, False, None, "int"),
+    ],
+}
+
+
+def test_subcommand_options_unchanged(monkeypatch):
+    monkeypatch.delenv("CDBOOST_WORKERS", raising=False)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: sorted(
+            (" ".join(a.option_strings), a.dest, a.default,
+             a.choices and tuple(a.choices), a.required, a.nargs, a.type and a.type.__name__)
+            for a in parser._actions if a.dest != "help"
+        )
+        for name, parser in sub.choices.items()
+    }
+    assert got == _OPTIONS
 
 
 def test_workers_env_default(monkeypatch):

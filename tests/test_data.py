@@ -10,6 +10,7 @@ from cdboost.data import (
     DatasetBundle,
     FitResult,
     GroupStructure,
+    NumericError,
     ParseError,
     ValidationError,
     _by_column_blocks,
@@ -99,6 +100,18 @@ def test_standardize_columns_moments(rng):
     Z = standardize_columns(X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose((Z * Z).mean(axis=0), 1.0, atol=1e-12)
+
+
+def test_standardize_refuses_overflowing_column(tmp_path, rng):
+    """A deviation that overflows would scale the column to zeros."""
+    X = rng.standard_normal((12, 3))
+    X[:, 1] *= 1e200
+    with pytest.raises(NumericError, match="overflows"):
+        standardize_columns(X)
+    path = tmp_path / "big.csv"
+    write_dataset_csv(path, X, rng.standard_normal(12))
+    with pytest.raises(NumericError, match="big.csv"):
+        load_dataset_csv(path)
 
 
 def test_standardize_constant_column_centered_only():
