@@ -31,7 +31,9 @@ exact block comparison (``data.block_partitions``):
 
 All selections are deterministic: objective ties are broken toward the
 largest dataset subset, then the smallest covariate index, then the
-lexicographically smallest subset.
+lexicographically smallest subset.  The path records its updates in two
+(T, M) arrays, entry (t, m) the covariate (-1 if none) and increment of
+dataset m's update at iteration t; each fit replays them up to its stop.
 """
 
 import itertools
@@ -109,16 +111,17 @@ class _SubsetTasks:
     """
 
     def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale):
-        classes = {tuple(m for m, c in enumerate(row) if c == label)
-                   for row in labels for label in set(row)}
+        classes = {c for row in labels for c in label_classes(row)}
         self.subsets = sorted(
             {A for c in classes for A in _nonempty_subsets(c)},
             key=lambda A: (-len(A), A),
         )
         labels = np.asarray(labels)                 # (K, M)
         S, M = len(self.subsets), labels.shape[1]
+        self.rows = np.arange(S)
+        self.neg_len = -np.array([len(A) for A in self.subsets])
         self.ind = np.zeros((S, M))
-        self.ind[np.repeat(np.arange(S), [len(A) for A in self.subsets]),
+        self.ind[np.repeat(self.rows, -self.neg_len),
                  list(itertools.chain.from_iterable(self.subsets))] = 1.0
         self.first = np.array([A[0] for A in self.subsets])
         inA = self.ind[:, None, :] > 0              # (S, 1, M)
@@ -150,24 +153,25 @@ def _sparsity_change(tasks: _SubsetTasks, coef: np.ndarray, gamma: np.ndarray) -
 
 class _Path(NamedTuple):
     """What ``_path`` returns; iteration t is row t of the step arrays and
-    column t of the traces.  Steps live in arrays rather than one Python
-    tuple each, which would cost about five times the memory over the M * T
-    steps of a lockstep path."""
+    column t of the traces.  Entry (t, m) of ``s`` and ``gamma`` is dataset
+    m's update at iteration t, covariate -1 where m did not step.  A lockstep
+    path steps each dataset alone, the all-common path one subset jointly."""
 
-    subsets: list             # per iteration, the candidate subsets scored
-    rows: np.ndarray          # (T, R) stepping rows of those subsets
-    s: np.ndarray             # (T, R) covariate of each step
-    gamma: np.ndarray         # (T, R) unscaled increment of each step
+    s: np.ndarray             # (T, M) covariate of each dataset's update, or -1
+    gamma: np.ndarray         # (T, M) unscaled increment of that update, or 0
     loss: np.ndarray          # (M, T) loss of each dataset after each iteration
     sparsity: np.ndarray      # (M, T) sparsity term of each dataset
     penalty: np.ndarray       # (T,) commonality penalty
     partitions: list[Partition]  # per-group classes after iteration T
+    lockstep: bool
 
     def steps(self, t):
         """The (s, A, gamma) updates of iteration t, in the order applied."""
-        subsets = self.subsets[t]
-        return [(s, subsets[i], g) for i, s, g in
-                zip(self.rows[t].tolist(), self.s[t].tolist(), self.gamma[t].tolist())]
+        s, gamma = self.s[t].tolist(), self.gamma[t].tolist()
+        if self.lockstep:
+            return [(s[m], (m,), gamma[m]) for m in range(len(s))]
+        A = tuple(m for m, j in enumerate(s) if j >= 0)
+        return [(s[A[0]], A, gamma[A[0]])]
 
 
 def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
@@ -205,11 +209,8 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
 
     tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
-    R = len(tasks.subsets) if lockstep else 1
-    subsets = []
-    rows = np.empty((T, R), dtype=np.int64)
-    s_steps = np.empty((T, R), dtype=np.int64)
-    g_steps = np.empty((T, R))
+    s_steps = np.full((T, M), -1)
+    g_steps = np.zeros((T, M))
     loss = np.empty((M, T))
     sparsity = np.empty((M, T))
     penalty = np.empty(T)
@@ -226,24 +227,20 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         if tasks.any_invalid:
             dobj[tasks.invalid_sp] = np.inf
 
-        js = dobj.argmin(axis=1).tolist()  # per subset: first minimum, smallest s
-        candidates = tasks.subsets
-        if lockstep:
-            stepping = range(R)
-        else:   # ties: largest subset, then smallest s, then smallest subset
-            stepping = [min(range(len(candidates)), key=lambda i: (
-                float(dobj[i, js[i]]), -len(candidates[i]), js[i], candidates[i]))]
-        subsets.append(candidates)
+        js = dobj.argmin(axis=1)  # per subset: first minimum, smallest s
+        # ties: largest subset, then smallest s, then subset order (lexicographic)
+        stepping = tasks.rows if lockstep else np.lexsort(
+            (js, tasks.neg_len, dobj[tasks.rows, js]))[:1]
 
-        for r, i in enumerate(stepping):
-            s_hat, A_hat, g_hat = js[i], candidates[i], float(gamma[i, js[i]])
-            rows[t, r], s_steps[t, r], g_steps[t, r] = i, s_hat, g_hat
+        for i in stepping.tolist():
+            s_hat, A_hat, g_hat = int(js[i]), tasks.subsets[i], float(gamma[i, js[i]])
             k_hat = int(assignment[s_hat])
             if _split(labels, k_hat, A_hat, g_hat):
                 unequal = int(_unequal(labels, mode).sum())
                 tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
             step = nu * g_hat
             for m in A_hat:
+                s_steps[t, m], g_steps[t, m] = s_hat, g_hat
                 was_nonzero = coef[m, s_hat] != 0
                 coef[m, s_hat] += step
                 nnz[m] += int(coef[m, s_hat] != 0) - int(was_nonzero)
@@ -268,18 +265,19 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             "final state: tracked partitions diverged from element-wise "
             "comparison"
         )
-    return _Path(subsets, rows, s_steps, g_steps, loss, sparsity, penalty,
-                 [label_classes(row) for row in labels])
+    return _Path(s_steps, g_steps, loss, sparsity, penalty,
+                 [label_classes(row) for row in labels], lockstep)
 
 
 def _replay(path: _Path, nu, p, t_stop):
-    """Coefficients after the first ``t_stop[m]`` iterations for dataset m."""
+    """Coefficients after the first ``t_stop[m]`` iterations for dataset m.
+    ``np.add.at`` adds unbuffered and in index order, so each coefficient
+    sums its increments in step order, as the path did."""
     beta = np.zeros((p, len(t_stop)))
-    for t in range(max(t_stop)):
-        for s, A, g in path.steps(t):
-            for m in A:
-                if t < t_stop[m]:
-                    beta[s, m] += nu * g
+    for m, stop in enumerate(t_stop):
+        s, g = path.s[:stop, m], path.gamma[:stop, m]
+        on = s >= 0
+        np.add.at(beta[:, m], s[on], nu * g[on])
     return beta
 
 

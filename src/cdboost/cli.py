@@ -298,8 +298,6 @@ def cmd_benchmark(args) -> int:
     _check_outputs(args.output, args.table)
     design = _design_from_args(args)
     methods = _methods(args)
-    for m in methods:
-        canonical_method(m)
     config = _boost_config(args, "cd_sboost", design.model)
     report = benchmark(design, methods, args.replicates, config=config,
                        tune=args.lam == "auto", workers=args.workers, verify=not args.no_verify)

@@ -52,6 +52,18 @@ def canonical_method(name: str) -> str:
         raise ValidationError(f"unknown method {name!r}") from None
 
 
+def canonical_methods(methods) -> tuple[str, ...]:
+    """The algorithm of each method; two names for one algorithm are refused,
+    as they would fit it twice and count each replicate twice."""
+    seen = {}
+    for method in methods:
+        algo = canonical_method(method)
+        if algo in seen:
+            raise ValidationError(f"methods {seen[algo]!r} and {method!r} both name {algo}")
+        seen[algo] = method
+    return tuple(seen)
+
+
 def group_tp_fp(fit: FitResult, truth: GroundTruth, groups: GroupStructure) -> tuple[int, int]:
     """Adjacent-pair commonality positives split into true and false."""
     if fit.beta_hat.shape != truth.beta.shape:
@@ -309,9 +321,8 @@ def benchmark(
     methods = tuple(methods)
     if replicates < 1:
         raise ValidationError("need at least one replicate")
-    for method in methods:
-        if canonical_method(method) == "sboost":
-            raise ValidationError("sboost is single-dataset; use sep_sboost")
+    if "sboost" in canonical_methods(methods):
+        raise ValidationError("sboost is single-dataset; use sep_sboost")
     if config is None:
         config = BoostConfig(model=design.model)
     if config.model != design.model:
@@ -390,6 +401,7 @@ def stability(
     data, mean per-dataset logrank chi-square for censored data).
     """
     methods = tuple(methods)
+    canonical_methods(methods)
     bundles = list(bundles)
     if n_splits < 2:
         raise ValidationError("need at least 2 splits")

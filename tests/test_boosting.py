@@ -446,7 +446,13 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         ctx = build_context(bundles, "lr")
         path = _path(ctx, groups, config, verify_partitions=True)
         records = [step for t in range(config.T) for step in path.steps(t)]
-        trace = cd_sboost_fit(bundles, groups, config, verify_partitions=True).objective_trace
+        res = cd_sboost_fit(bundles, groups, config, verify_partitions=True)
+        trace = res.objective_trace
+        # the fit replays its path's steps up to t_hat, in step order
+        want = np.zeros((5, M))
+        for s, A, g in records[:res.t_hat]:
+            want[s, list(A)] += config.nu * g
+        assert np.array_equal(res.beta_hat, want)
         b_records, b_trace, _, _ = brute_cd_path(
             [b.X for b in bundles], [b.y for b in bundles],
             [np.full(b.n, 1.0 / b.n) for b in bundles],
@@ -456,6 +462,49 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         for (_, _, g1), (_, _, g2) in zip(records, b_records):
             assert abs(g1 - g2) < 1e-10
         assert np.allclose(trace, b_trace, rtol=0.0, atol=1e-10)
+
+
+def _swapped_copies(y_of):
+    """Two datasets: 30 standardized rows of six covariates, the second with
+    columns 1 and 3 swapped, both with the response ``y_of(X, rng)``."""
+    rng = np.random.default_rng(3)
+    X = standardize_columns(rng.standard_normal((30, 6)))
+    y = y_of(X, rng)
+    return [DatasetBundle(X=X, y=y, delta=None, id=0),
+            DatasetBundle(X=X[:, [0, 3, 2, 1, 4, 5]], y=y, delta=None, id=1)]
+
+
+@pytest.mark.parametrize("y_of, tied, T, first", [
+    (lambda X, rng: 2.0 * X[:, 3] + 0.3 * rng.standard_normal(30),
+     [(1, (1,)), (3, (0,))], 2, (1, (1,), 2.035960534653879)),
+    (lambda X, rng: np.zeros(30),
+     [(s, A) for s in range(6) for A in ((0,), (0, 1), (1,))], 8, (0, (0, 1), 0.0)),
+])
+def test_cd_tie_break_on_exact_ties(y_of, tied, T, first):
+    """Exact objective ties go to the largest subset, then the smallest
+    covariate, then the smallest subset.  With the signal on x3, stepping
+    dataset 0 on x3 and dataset 1 on the same column, its x1, tie exactly;
+    the smaller covariate wins, where ordering by subset before covariate
+    would pick dataset 0.  From the third step on the two datasets' scores
+    tie only to rounding, which the path and the oracle round differently,
+    so the records are compared over two steps.  With a zero response every
+    candidate ties at 0, so the full class steps on covariate 0."""
+    bundles = _swapped_copies(y_of)
+    groups = tiny_groups(6, 2)
+    config = BoostConfig(T=T, lam=0.0)
+    ctx = build_context(bundles, "lr")
+    state, spec = initial_state(6, 2, 2), PenaltySpec(lam=0.0, M=2, K=2)
+    value = {(c.s, c.A): cd_objective(ctx, state, groups, c, spec)
+             for s in range(6) for c in candidate_set(ctx, state, groups, s)}
+    best = min(value.values())
+    assert sorted(key for key, v in value.items() if v == best) == tied
+    path = _path(ctx, groups, config)
+    assert path.steps(0) == [first]
+    b_records, _, _, _ = brute_cd_path(
+        [b.X for b in bundles], [b.y for b in bundles], [np.full(30, 1 / 30)] * 2,
+        groups.assignment, config.nu, config.T, 0.0)
+    assert [(s, A) for t in range(config.T) for s, A, _ in path.steps(t)] == \
+        [(s, A) for s, A, _ in b_records]
 
 
 # single-dataset fitters against the literal oracle ----------------------------
@@ -512,24 +561,31 @@ def test_single_dataset_fitters_match_brute_force(model, seed, T, monkeypatch):
     monkeypatch.setattr(boosting, "_path", recording_path)
 
     def check_steps(path, m, records):
-        got = [next((s, g) for s, A, g in path.steps(t) if A == (m,))
+        """Dataset m's steps on the path against the oracle's; returns them."""
+        got = [next(step for step in path.steps(t) if step[1] == (m,))
                for t in range(config.T)]
-        assert [s for s, _ in got] == [s for s, A, _ in records]
+        assert [s for s, _, _ in got] == [s for s, _, _ in records]
         assert all(A == (0,) for _, A, _ in records)
-        for (_, g1), (_, _, g2) in zip(got, records):
+        for (_, _, g1), (_, _, g2) in zip(got, records):
             assert abs(g1 - g2) < 1e-10
+        return got
+
+    def check_beta(beta, got, records, t_stop):
+        """Replaying the path's own steps gives the coefficients bit for bit;
+        the oracle's steps give them to rounding."""
+        assert np.array_equal(beta, _replay_records(got, config.nu, 6, t_stop))
+        assert np.allclose(beta, _replay_records(records, config.nu, 6, t_stop),
+                           rtol=0.0, atol=1e-12)
 
     brute = [_brute_single([b], groups, model, config) for b in bundles]
     stops = [int(np.argmin(trace)) + 1 for _, trace in brute]
 
     for m, (records, trace) in enumerate(brute):
         res = sboost_fit(bundles[m], groups, config)
-        check_steps(paths[-1], 0, records)
+        got = check_steps(paths[-1], 0, records)
         assert np.allclose(res.objective_trace, trace, rtol=0.0, atol=1e-10)
         assert res.t_hat == stops[m]
-        assert np.allclose(res.beta_hat[:, 0],
-                           _replay_records(records, config.nu, 6, stops[m]),
-                           rtol=0.0, atol=1e-12)
+        check_beta(res.beta_hat[:, 0], got, records, stops[m])
 
     summed = np.sum([trace for _, trace in brute], axis=0)
     shared = int(np.argmin(summed)) + 1
@@ -538,21 +594,18 @@ def test_single_dataset_fitters_match_brute_force(model, seed, T, monkeypatch):
                                   (int_sboost_fit, [shared] * 3, shared)):
         res = fitter(bundles, groups, config)
         for m, (records, _) in enumerate(brute):
-            check_steps(paths[-1], m, records)
-            assert np.allclose(res.beta_hat[:, m],
-                               _replay_records(records, config.nu, 6, t_stop[m]),
-                               rtol=0.0, atol=1e-12)
+            got = check_steps(paths[-1], m, records)
+            check_beta(res.beta_hat[:, m], got, records, t_stop[m])
         assert np.allclose(res.objective_trace, summed, rtol=0.0, atol=1e-10)
         assert res.t_hat == t_hat
 
     records, trace = _brute_single(bundles, groups, model, config)
     res = pool_sboost_fit(bundles, groups, config)
-    check_steps(paths[-1], 0, records)
+    got = check_steps(paths[-1], 0, records)
     assert np.allclose(res.objective_trace, trace, rtol=0.0, atol=1e-10)
     assert res.t_hat == int(np.argmin(trace)) + 1
-    want = _replay_records(records, config.nu, 6, res.t_hat)
     for m in range(3):
-        assert np.allclose(res.beta_hat[:, m], want, rtol=0.0, atol=1e-12)
+        check_beta(res.beta_hat[:, m], got, records, res.t_hat)
 
 
 def test_oracles_import_no_fitting_internals():

@@ -201,6 +201,37 @@ def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
     assert got == _FIT_SEED1_SHA256[model, standardize]
 
 
+# sha256 of `cdboost fit --lambda 2 --iters 1000 --nu 0.5` JSON on
+# `simulate --preset reduced --n 60 --p 80 --k 4 --seed 2`, with the stop
+# of each fit, all below the cap (sep's datasets stop at 82, 233 and 190);
+# recorded before the path was held as per-dataset step arrays
+_EARLY_STOP_SHA256 = {
+    "cd-sboost": (166, "f022312862d8020c49bc78aa2e26e635ee911a8ef49dae62bcb879e0eb4c69a1"),
+    "sep-sboost": (233, "248996f6d916e775171b6a38ed97c74f5d06c3a366fc013eb97a10f2e5e889ca"),
+    "int-sboost": (210, "ab719b59b7149a27a0f2c23f66cf8c8b7dd16de2b26ef63864fa783108255270"),
+    "pool-sboost": (401, "1a3c33b103f3ddaa3f0558c34f64c5fcab18542da7271f7049d1a8651c8c9213"),
+}
+
+
+def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
+    """Pins fits that stop before the iteration cap, so the replay up to
+    each stop, and sep's separate stops, are covered."""
+    data = tmp_path / "sim"
+    assert main(["simulate", "--preset", "reduced", "--n", "60", "--p", "80", "--k", "4",
+                 "--seed", "2", "--outdir", str(data)]) == 0
+    got = {}
+    for method in _EARLY_STOP_SHA256:
+        out = tmp_path / f"{method}.json"
+        assert main(["fit", "--data", *(str(data / f"dataset_{m}.csv") for m in (1, 2, 3)),
+                     "--groups", str(data / "groups.tsv"), "--method", method,
+                     "--lambda", "2", "--iters", "1000", "--nu", "0.5",
+                     "--output", str(out)]) == 0
+        got[method] = (json.loads(out.read_text())["t_hat"],
+                       hashlib.sha256(out.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert got == _EARLY_STOP_SHA256
+
+
 def test_simulate_design_flag_sets_scheme_and_noise(tmp_path):
     out = tmp_path / "s3"
     code = main(["simulate", "--preset", "standard", "--n", "30", "--p", "60",
@@ -455,6 +486,8 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("simulate-n-negative", 3),
     ("simulate-replicate-negative", 3),
     ("stability-sboost-two-datasets", 3),
+    ("benchmark-method-twice", 3),
+    ("stability-method-twice", 3),
     ("csv-not-utf8", 2),
     ("tsv-not-utf8", 2),
     ("config-not-utf8", 2),
@@ -515,6 +548,10 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "stability-sboost-two-datasets": ["stability", "--data", *paths, "--groups", groups,
                                           "--methods", "cd,sboost", "--splits", "2",
                                           "--iters", "10", "--lambda", "0.5"],
+        "benchmark-method-twice": [*_BENCH, "--methods", "cd,cd-sboost"],
+        "stability-method-twice": ["stability", "--data", *paths, "--groups", groups,
+                                   "--methods", "cd,cd-sboost", "--splits", "2",
+                                   "--iters", "10", "--lambda", "0.5"],
         "csv-not-utf8": ["fit", "--data", str(bad), "--groups", groups],
         "tsv-not-utf8": ["fit", "--data", *paths, "--groups", str(bad)],
         "config-not-utf8": ["fit", "--data", *paths, "--groups", groups,

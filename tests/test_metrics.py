@@ -20,6 +20,7 @@ from cdboost import metrics
 from cdboost.metrics import (
     benchmark,
     canonical_method,
+    canonical_methods,
     ermse,
     group_tp_fp,
     logrank_score,
@@ -377,6 +378,26 @@ def test_benchmark_validation():
     with pytest.raises(ValidationError):
         benchmark(design, ("cd",), replicates=1,
                   config=BoostConfig(model="aft"), tune=False)
+
+
+@pytest.mark.parametrize("methods", [("cd", "cd"), ("cd", "int", "cd-sboost")])
+def test_harnesses_refuse_an_algorithm_named_twice(rng, monkeypatch, methods):
+    """Naming one algorithm twice would fit it twice per replicate or split
+    and count each replicate twice; both harnesses refuse before any fit."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran before the methods were checked")
+
+    monkeypatch.setattr(metrics, "run_fit", refuse)
+    monkeypatch.setattr(metrics, "select_lambda", refuse)
+    assert canonical_methods(("cd", "int", "sep-sboost")) == \
+        ("cd_sboost", "int_sboost", "sep_sboost")
+    with pytest.raises(ValidationError, match="both name cd_sboost"):
+        canonical_methods(methods)
+    with pytest.raises(ValidationError, match="both name cd_sboost"):
+        benchmark(_small_bench_design(), methods, replicates=1, tune=False)
+    bundles = make_lr_bundles(rng, M=2, n=20, p=4)
+    with pytest.raises(ValidationError, match="both name cd_sboost"):
+        stability(bundles, tiny_groups(4, 1), BoostConfig(T=20), methods, n_splits=2)
 
 
 def test_benchmark_aft_smoke():
