@@ -24,7 +24,8 @@ exact block comparison (``data.block_partitions``):
   covariate: M independent single-dataset paths.  Each dataset stops at
   the argmin of its own trace.
 * ``int_sboost_fit``  -- the same paths, one shared stop at the argmin of the
-  summed trace.
+  summed trace.  Int and sep share the path: ``lockstep_path`` builds it
+  once, and each of them then only stops and replays it.
 * ``sboost_fit``      -- one dataset: the M=1 case of the separate fit.
 * ``pool_sboost_fit`` -- all rows concatenated into one dataset, fit by
   ``sboost_fit``, the coefficient vector broadcast to every dataset.
@@ -50,8 +51,8 @@ from .data import (
     Partition,
     ValidationError,
     all_common_partition,
-    block_labels,
     block_partitions,
+    equal_columns,
     label_classes,
     validate,
 )
@@ -76,6 +77,29 @@ def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> boo
     for m in rest:
         row[m] = rest[0]
     return True
+
+
+def _holds_blocks(row: list[int], block: np.ndarray, before: list[int] | None = None) -> bool:
+    """Whether every class of a label row holds identical columns of a
+    (rows, M) block and, given the row ``before`` a split, whether every
+    pair of datasets the split put apart holds different ones.  Classes
+    never merge, so two classes may come to hold equal blocks later on."""
+    if not (block == block[:, row]).all():
+        return False
+    if before is None:
+        return True
+    eq = equal_columns(block)
+    before, row = np.asarray(before), np.asarray(row)
+    apart = (before[:, None] == before) & (row[:, None] != row)
+    return not (eq & apart).any()
+
+
+def _columns(idx: np.ndarray):
+    """Sorted column indices as a slice when they form one range, so that
+    indexing with them gives a view rather than a copy."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _unequal(labels, mode: str) -> np.ndarray:
@@ -133,22 +157,41 @@ class _SubsetTasks:
         self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
         self.okA = self.denA > 0
+        self.all_ok = bool(self.okA.all())
         self.invalid_sp = ~valid[:, assignment]     # (S, p)
-        self.any_invalid = bool(self.invalid_sp.any())
-        self.dsplit_sp = dsplit[:, assignment]
+        # (S, p): the split cost where A is a candidate for the covariate,
+        # inf where it is not
+        self.pen_sp = np.where(valid, dsplit, np.inf)[:, assignment]
+        self.any_pen = bool(self.pen_sp.any())
 
 
-def _sparsity_change(tasks: _SubsetTasks, coef: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Sparsity-term change of every tentative update, shape (S, p).
+class _Support:
+    """Where the first member of each candidate subset holds a nonzero
+    coefficient; rebuilt when that pattern changes, as a coefficient enters
+    or leaves the support or a class splits.
 
-    ``coef`` is the (M, p) coefficient matrix and ``gamma`` the (S, p)
-    unscaled increments.  Exact wherever the subset is a candidate for the
-    covariate (see ``_SubsetTasks``); other entries are masked by the caller.
+    A nonzero increment adds a nonzero, at cost ``pf_sum``, where the
+    coefficient is zero, and removes one only where it cancels the
+    coefficient exactly.  By the within-class invariant of ``_SubsetTasks``
+    that is the sparsity change of A, without an (S, p) gather per step.
     """
-    b0 = coef[tasks.first]                          # (S, p)
-    dnnz = ((b0 + gamma) != 0).astype(float) - (b0 != 0)
-    dnnz *= tasks.pf_sum[:, None]
-    return dnnz
+
+    def __init__(self, tasks: _SubsetTasks, coef: np.ndarray):
+        b0 = coef[tasks.first]                      # (S, p)
+        self.pf_new = np.where(b0 == 0, tasks.pf_sum[:, None], 0.0)
+        self.rows, self.cols = np.nonzero(b0)
+        self.firsts = tasks.first[self.rows]
+        self.pf_drop = -tasks.pf_sum[self.rows]
+
+    def add_change(self, dobj: np.ndarray, coef: np.ndarray, gamma: np.ndarray) -> None:
+        """Add to ``dobj`` the sparsity-term change of every nonzero increment
+        in ``gamma``; the entries of zero increments are left to the caller.
+        Exact wherever the subset is a candidate for the covariate."""
+        dobj += self.pf_new
+        if self.rows.size:
+            cancel = coef[self.firsts, self.cols] + gamma[self.rows, self.cols] == 0
+            if cancel.any():
+                dobj[self.rows[cancel], self.cols[cancel]] += self.pf_drop[cancel]
 
 
 class _Path(NamedTuple):
@@ -188,9 +231,10 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     ``_SubsetTasks`` exact.  The penalty counts all dataset pairs, or the
     adjacent ones under ``ordered``.
 
-    ``verify_partitions`` checks the all-common path: after every step, and
-    again after the loop, the tracked classes must equal exact block
-    comparison of the coefficients, or ``AssertionError`` is raised.
+    ``verify_partitions`` checks the invariant the engine relies on, after
+    every step and again after the loop: every tracked class holds identical
+    coefficient blocks, and a split puts apart datasets whose blocks differ
+    (``_holds_blocks``); otherwise ``AssertionError`` is raised.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
@@ -200,32 +244,55 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
     pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
+    def penalty_of(labels):
+        return lam * int(_unequal(labels, mode).sum()) / normalizer if normalizer > 0 else 0.0
+
+    def loss_of(m):
+        return 0.5 * float(ctx.weights[m] @ (resid[m] * resid[m]))
+
     # one list per group, as _split edits the rows in place
     labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
-    unequal = int(_unequal(labels, mode).sum())
+    pen = penalty_of(labels)
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
     nnz = [0] * M                    # running nonzero count per dataset
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
+    cur_loss = [loss_of(m) for m in range(M)]
 
     tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
+    support = _Support(tasks, coef)
     s_steps = np.full((T, M), -1)
     g_steps = np.zeros((T, M))
     loss = np.empty((M, T))
     sparsity = np.empty((M, T))
     penalty = np.empty(T)
-    group_idx = [groups.indices(k) for k in range(K)] if verify_partitions else None
+    group_cols = [_columns(groups.indices(k)) for k in range(K)] if verify_partitions else None
 
     for t in range(T):
         numA = tasks.ind @ numer                                    # (S, p)
-        gamma = np.divide(numA, tasks.denA, out=np.zeros(numA.shape),
-                          where=tasks.okA)
-        dobj = -gamma * numA + 0.5 * gamma * gamma * tasks.denA
-        dobj += _sparsity_change(tasks, coef, gamma)
-        if pen_scale > 0.0:
-            np.add(dobj, tasks.dsplit_sp, out=dobj, where=gamma != 0)
-        if tasks.any_invalid:
-            dobj[tasks.invalid_sp] = np.inf
+        if tasks.all_ok:
+            gamma = numA / tasks.denA
+        else:
+            gamma = np.divide(numA, tasks.denA, out=np.zeros(numA.shape),
+                              where=tasks.okA)
+        # h - gamma*numA with h = ((0.5*gamma)*gamma)*denA: the bits of
+        # -gamma*numA + h, with no temporaries beyond dobj
+        dobj = 0.5 * gamma
+        dobj *= gamma
+        dobj *= tasks.denA
+        numA *= gamma
+        dobj -= numA
+        # the sparsity change and split cost of every nonzero increment, inf
+        # for a non-candidate; dobj is finite and never -0.0 (a zero split
+        # cost leaves it as it is)
+        support.add_change(dobj, coef, gamma)
+        if tasks.any_pen:
+            dobj += tasks.pen_sp
+        if np.count_nonzero(gamma) < gamma.size:
+            # a zero increment changes no term: 0 for a candidate, else inf
+            zero = gamma == 0
+            dobj[zero] = 0.0
+            dobj[zero & tasks.invalid_sp] = np.inf
 
         js = dobj.argmin(axis=1)  # per subset: first minimum, smallest s
         # ties: largest subset, then smallest s, then subset order (lexicographic)
@@ -235,35 +302,43 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         for i in stepping.tolist():
             s_hat, A_hat, g_hat = int(js[i]), tasks.subsets[i], float(gamma[i, js[i]])
             k_hat = int(assignment[s_hat])
-            if _split(labels, k_hat, A_hat, g_hat):
-                unequal = int(_unequal(labels, mode).sum())
+            before = labels[k_hat].copy() if verify_partitions else None
+            split = _split(labels, k_hat, A_hat, g_hat)
+            if split:
+                pen = penalty_of(labels)
                 tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
             step = nu * g_hat
+            support_moved = False
             for m in A_hat:
                 s_steps[t, m], g_steps[t, m] = s_hat, g_hat
-                was_nonzero = coef[m, s_hat] != 0
-                coef[m, s_hat] += step
-                nnz[m] += int(coef[m, s_hat] != 0) - int(was_nonzero)
+                old = float(coef[m, s_hat])
+                coef[m, s_hat] = new = old + step
+                if (new != 0.0) != (old != 0.0):
+                    nnz[m] += 1 if new != 0.0 else -1
+                    support_moved = True
                 resid[m] -= step * ctx.X[m][:, s_hat]
-                numer[m] = ctx.X[m].T @ (ctx.weights[m] * resid[m])
-            # only group k_hat changed; untouched groups agree by induction,
+                np.dot(ctx.X[m].T, ctx.weights[m] * resid[m], out=numer[m])
+                cur_loss[m] = loss_of(m)
+            if split or support_moved:
+                support = _Support(tasks, coef)
+            # only group k_hat changed; untouched groups hold by induction,
             # and the full state is re-checked after the loop
-            if verify_partitions and labels[k_hat] != block_labels(
-                    coef[:, group_idx[k_hat]].T):
+            if verify_partitions and not _holds_blocks(
+                    labels[k_hat], coef[:, group_cols[k_hat]].T, before if split else None):
                 raise AssertionError(
                     f"iteration {t + 1}: tracked partition of group {k_hat} "
-                    f"diverged from element-wise comparison"
+                    f"disagrees with element-wise comparison"
                 )
 
-        for m in range(M):
-            loss[m, t] = 0.5 * float(ctx.weights[m] @ (resid[m] * resid[m]))
-            sparsity[m, t] = pf[m] * nnz[m]
-        penalty[t] = lam * unequal / normalizer if normalizer > 0 else 0.0
+        loss[:, t] = cur_loss
+        sparsity[:, t] = nnz
+        penalty[t] = pen
+    sparsity *= pf[:, None]
 
-    if verify_partitions and labels != [block_labels(coef[:, idx].T) for idx in group_idx]:
+    if verify_partitions and not all(_holds_blocks(row, coef[:, cols].T)
+                                     for row, cols in zip(labels, group_cols)):
         raise AssertionError(
-            "final state: tracked partitions diverged from element-wise "
-            "comparison"
+            "final state: a tracked class holds blocks that differ element-wise"
         )
     return _Path(s_steps, g_steps, loss, sparsity, penalty,
                  [label_classes(row) for row in labels], lockstep)
@@ -286,24 +361,36 @@ def _first_argmin(trace) -> int:
     return int(np.argmin(trace)) + 1
 
 
+def lockstep_path(bundles, groups: GroupStructure, config: BoostConfig) -> _Path:
+    """The lockstep path that ``sep_sboost_fit`` and ``int_sboost_fit`` stop
+    on: the data validated, one loss context, every dataset in a class of
+    its own, lambda 0.  Either fitter takes it as ``path`` and then only
+    stops and replays, so int and sep can share one path."""
+    bundles = list(bundles)
+    validate(bundles, groups, config.model)
+    ctx = build_context(bundles, config.model)
+    return _path(ctx, groups, replace(config, lam=0.0), lockstep=True)
+
+
 def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
-                  shared_stop: bool) -> FitResult:
+                  shared_stop: bool, path: _Path | None) -> FitResult:
     """Independent single-dataset paths of every dataset, run as one path.
 
     Each dataset stops at the first argmin of its own objective trace (loss +
     sparsity term) or, with ``shared_stop``, all at that of the summed trace.
     """
     bundles = list(bundles)
-    validate(bundles, groups, config.model)
-    ctx = build_context(bundles, config.model)
-    path = _path(ctx, groups, replace(config, lam=0.0), lockstep=True)
+    if path is None:
+        path = lockstep_path(bundles, groups, config)
+    elif not path.lockstep or path.s.shape != (config.T, len(bundles)):
+        raise ValidationError("path is not the lockstep path of these datasets and T")
     objective = path.loss + path.sparsity
     total = np.sum(objective, axis=0)
     if shared_stop:
-        t_stop = [_first_argmin(total)] * ctx.M
+        t_stop = [_first_argmin(total)] * len(bundles)
     else:
         t_stop = [_first_argmin(trace) for trace in objective]
-    beta = _replay(path, config.nu, ctx.p, t_stop)
+    beta = _replay(path, config.nu, groups.p, t_stop)
     return FitResult(
         beta_hat=beta,
         t_hat=max(t_stop),
@@ -313,15 +400,19 @@ def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
     )
 
 
-def sep_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    """Fit every dataset separately (its own stopping point); combine columns."""
-    return _lockstep_fit(bundles, groups, config, shared_stop=False)
+def sep_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig,
+                   path: _Path | None = None) -> FitResult:
+    """Fit every dataset separately (its own stopping point); combine columns.
+    ``path``, when given, is the ``lockstep_path`` of the same arguments."""
+    return _lockstep_fit(bundles, groups, config, shared_stop=False, path=path)
 
 
-def int_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
+def int_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig,
+                   path: _Path | None = None) -> FitResult:
     """Integrative variant: independent per-dataset steps, one shared t-hat
-    minimizing the summed objective trace."""
-    return _lockstep_fit(bundles, groups, config, shared_stop=True)
+    minimizing the summed objective trace.  ``path``, when given, is the
+    ``lockstep_path`` of the same arguments."""
+    return _lockstep_fit(bundles, groups, config, shared_stop=True, path=path)
 
 
 def sboost_fit(bundle: DatasetBundle, groups: GroupStructure, config: BoostConfig) -> FitResult:
@@ -418,5 +509,5 @@ _FITTERS = {
 
 def fit(bundles, groups: GroupStructure, config: BoostConfig, **kwargs) -> FitResult:
     """Dispatch to the algorithm named in the config; keyword arguments go to
-    that fitter (only ``cd_sboost_fit`` takes any)."""
+    that fitter (``verify_partitions`` to cd, ``path`` to sep and int)."""
     return _FITTERS[config.algorithm](list(bundles), groups, config, **kwargs)

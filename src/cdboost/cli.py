@@ -9,6 +9,7 @@ created, 4 numeric failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,9 +56,21 @@ def _workers_default() -> int:
         return 1
 
 
-def _schema(name: str) -> dict:
-    text = resources.files("cdboost.schemas").joinpath(name).read_text()
-    return json.loads(text)
+@functools.cache
+def _validator(name: str):
+    """The validator of a schema shipped with the package, built once: the
+    steps of ``jsonschema.validate`` that depend on the schema alone."""
+    schema = json.loads(resources.files("cdboost.schemas").joinpath(name).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(payload, schema_name: str) -> None:
+    """Raise the error ``jsonschema.validate`` would raise, if any."""
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(payload))
+    if error is not None:
+        raise error
 
 
 def _clean(obj):
@@ -81,7 +94,7 @@ def _clean(obj):
 
 def _emit(payload: dict, schema_name: str, path: str | None):
     payload = _clean(payload)
-    jsonschema.validate(payload, _schema(schema_name))
+    _validate(payload, schema_name)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
@@ -288,7 +301,7 @@ def cmd_simulate(args) -> int:
         args.outdir, design, replicate=args.replicate, scenarios=scenarios
     )
     with open(truth_path) as fh:
-        jsonschema.validate(json.load(fh), _schema("simulation_truth.schema.json"))
+        _validate(json.load(fh), "simulation_truth.schema.json")
     for path in [*paths, groups_path, truth_path]:
         print(path)
     return 0

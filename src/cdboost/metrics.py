@@ -26,7 +26,7 @@ from .data import (
     _run_in_order,
     adjacent_equal_pairs,
 )
-from .boosting import fit as run_fit
+from .boosting import fit as run_fit, lockstep_path
 from .simulate import (
     P_SPLIT,
     GroundTruth,
@@ -239,17 +239,38 @@ class MetricReport:
         )
 
 
-def _fit_method(method, bundles, groups, config, tune, verify):
-    """One method on one replicate; returns (FitResult, lambda used)."""
-    algo = canonical_method(method)
-    cfg = replace(config, algorithm=algo)
-    if algo == "cd_sboost":
-        if tune:
-            lam, result = select_lambda(bundles, groups, cfg,
-                                        verify_partitions=verify)
-            return result, lam
-        return run_fit(bundles, groups, cfg, verify_partitions=verify), cfg.lam
-    return run_fit(bundles, groups, cfg), 0.0
+# the fitters that stop on one lockstep path
+_LOCKSTEP = frozenset({"sep_sboost", "int_sboost"})
+
+
+def _fit_methods(methods, bundles, groups, config, tune, verify):
+    """Yield (method, FitResult, lambda used) for each method, in order.
+
+    When int and sep are both asked for they stop on one ``lockstep_path``,
+    built as the first of them is fit and dropped after the second, so it is
+    held during no other method's fit.  Every method is one ``run_fit`` or
+    ``select_lambda`` call either way.
+    """
+    algos = [canonical_method(method) for method in methods]
+    sharing = set(_LOCKSTEP) if _LOCKSTEP <= set(algos) else set()
+    path = None
+    for method, algo in zip(methods, algos):
+        cfg = replace(config, algorithm=algo)
+        kwargs = {}
+        if algo in sharing:
+            if path is None:
+                path = lockstep_path(bundles, groups, cfg)
+            kwargs["path"] = path
+            sharing.remove(algo)
+            if not sharing:
+                path = None
+        if algo != "cd_sboost":
+            yield method, run_fit(bundles, groups, cfg, **kwargs), 0.0
+        elif tune:
+            lam, result = select_lambda(bundles, groups, cfg, verify_partitions=verify)
+            yield method, result, lam
+        else:
+            yield method, run_fit(bundles, groups, cfg, verify_partitions=verify), cfg.lam
 
 
 def _benchmark_replicate(args):
@@ -269,8 +290,7 @@ def _benchmark_replicate(args):
         test_bundles, _ = simulate_replicate(design, replicate, truth=truth, test=True)
 
     rows = []
-    for method in methods:
-        result, lam = _fit_method(method, bundles, groups, config, tune, verify)
+    for method, result, lam in _fit_methods(methods, bundles, groups, config, tune, verify):
         gtp, gfp = group_tp_fp(result, truth, groups)
         if canonical_method(method) == "pool_sboost":
             if gtp + gfp != groups.K * (design.M - 1):
@@ -364,8 +384,7 @@ def _stability_split(args):
     bundles, groups, config, methods, seed, split, tune = args
     train, test = split_bundles(bundles, seed, split)
     out = {}
-    for method in methods:
-        result, lam = _fit_method(method, train, groups, config, tune, False)
+    for method, result, lam in _fit_methods(methods, train, groups, config, tune, False):
         selected = sorted(set(
             int(j) for m in range(result.M) for j in result.selected[m]
         ))

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from cdboost.boosting import (
     _path,
     _split,
     _SubsetTasks,
-    _sparsity_change,
+    _Support,
     _unequal,
     cd_sboost_fit,
     fit,
@@ -339,6 +341,77 @@ def test_cd_partitions_verified_on_aft(aft_problem):
     assert res.t_hat >= 1
 
 
+def _copy_of_dataset_0(seed=9, M=4, n=27, p=19, K=3):
+    """M LR datasets with their own sparse signals, the last a copy of dataset 0."""
+    rng = np.random.default_rng(seed)
+    bundles = []
+    for m in range(M - 1):
+        beta = np.zeros(p)
+        beta[rng.choice(p, 3, replace=False)] = rng.uniform(-1.5, 1.5, 3)
+        X = standardize_columns(rng.standard_normal((n, p)))
+        bundles.append(DatasetBundle(X=X, y=X @ beta + rng.standard_normal(n), delta=None, id=m))
+    bundles.append(DatasetBundle(X=bundles[0].X.copy(), y=bundles[0].y.copy(), delta=None,
+                                 id=M - 1))
+    return bundles, tiny_groups(p, K)
+
+
+def _fit_bytes(res):
+    return (res.beta_hat.tobytes(), res.t_hat, res.partitions, res.final_partitions,
+            res.objective_trace.tobytes(), res.loss_trace.tobytes())
+
+
+_COPY_CONFIG = BoostConfig(T=30, lam=0.5, penalty_mode="ordered", nu=1.0)
+
+
+def test_verify_partitions_accepts_classes_with_equal_blocks():
+    """Dataset 3 copies dataset 0.  Iteration 6 steps dataset 3 alone on x15
+    and iteration 12 dataset 0 alone by the same increment, so the two hold
+    equal blocks of group 2 again while their classes stay apart: classes
+    never merge.  The check accepts that, and changes no byte of the fit."""
+    bundles, groups = _copy_of_dataset_0()
+    path = _path(build_context(bundles, "lr"), groups, _COPY_CONFIG)
+    (s6, A6, g6), = path.steps(5)
+    (s12, A12, g12), = path.steps(11)
+    assert (s6, A6, s12, A12, g6) == (15, (3,), 15, (0,), g12)
+    checked = cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
+    assert _fit_bytes(checked) == _fit_bytes(cd_sboost_fit(bundles, groups, _COPY_CONFIG))
+    assert all(len(cls) == 1 for cls in checked.final_partitions[2] if 0 in cls)
+
+
+def test_verify_partitions_catches_a_split_on_a_zero_increment(monkeypatch):
+    """Column 2 of dataset 0 is zero, so its increment there is 0; with a
+    near-zero response every other step costs more sparsity than it saves
+    loss, and the first step is dataset 0 alone on column 2.  A split rule
+    that splits on that zero increment leaves two classes with equal blocks
+    right after the split, which the check refuses."""
+    rng = np.random.default_rng(5)
+    bundles = []
+    for m in range(2):
+        X = standardize_columns(rng.standard_normal((20, 4)))
+        if m == 0:
+            X[:, 2] = 0.0
+        bundles.append(DatasetBundle(X=X, y=1e-6 * rng.standard_normal(20), delta=None, id=m))
+    groups = tiny_groups(4, 2)
+    config = BoostConfig(T=3, lam=0.5)
+    with pytest.warns(UserWarning, match="zero-norm"):
+        path = _path(build_context(bundles, "lr"), groups, config, verify_partitions=True)
+    assert path.steps(0) == [(2, (0,), 0.0)]
+    real_split = boosting._split
+    monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: real_split(labels, k, A, 1.0))
+    with pytest.warns(UserWarning, match="zero-norm"), \
+            pytest.raises(AssertionError, match="iteration 1: tracked partition of group 1"):
+        cd_sboost_fit(bundles, groups, config, verify_partitions=True)
+
+
+def test_verify_partitions_catches_a_step_to_part_of_a_class(monkeypatch):
+    """A split rule that never splits leaves a class whose members hold
+    different blocks after the first single-dataset step."""
+    bundles, groups = _copy_of_dataset_0()
+    monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: False)
+    with pytest.raises(AssertionError, match="iteration 1: tracked partition of group 2"):
+        cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
+
+
 def test_fit_dispatch(lr_problem):
     bundles, groups = lr_problem
     for algorithm in ("sep_sboost", "int_sboost", "pool_sboost", "cd_sboost"):
@@ -372,10 +445,11 @@ def test_label_rows_match_partition_oracles(M, mode, data):
         for k, pt in enumerate(parts):
             inside = any(set(A) <= set(c) for c in pt)
             assert tasks.invalid_sp[i, 2 * k] == (not inside)
+            assert np.isinf(tasks.pen_sp[i, 2 * k]) == (not inside)
             if inside:
                 added = (oracles.unequal_pairs(oracles.split(pt, A), M, mode)
                          - oracles.unequal_pairs(pt, M, mode))
-                assert tasks.dsplit_sp[i, 2 * k] == pen_scale * added
+                assert tasks.pen_sp[i, 2 * k] == pen_scale * added
 
     k = data.draw(st.integers(0, K - 1))
     cls = data.draw(st.sampled_from(parts[k]))
@@ -396,7 +470,8 @@ def test_label_rows_match_partition_oracles(M, mode, data):
        seed=st.integers(0, 2**32 - 1))
 def test_sparsity_change_matches_full_tensor(M, mode, seed):
     """The (S, p) sparsity change equals the literal (S, p, M) formula
-    bit for bit wherever the subset is a candidate for the covariate."""
+    bit for bit wherever the subset is a candidate for the covariate and
+    the increment is nonzero (``_path`` sets the entries of zero ones)."""
     rng = np.random.default_rng(seed)
     p, K = 7, 3
     assignment = np.repeat(np.arange(K), [3, 2, 2])
@@ -418,10 +493,12 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
     # increments that sometimes zero a coefficient or leave it unchanged
     gamma = rng.choice(np.concatenate([-values, values]), size=(len(tasks.subsets), p))
 
-    got = _sparsity_change(tasks, beta.T.copy(), gamma)
+    coef = beta.T.copy()
+    got = np.zeros(gamma.shape)
+    _Support(tasks, coef).add_change(got, coef, gamma)
     tentative = beta[None, :, :] + gamma[:, :, None] * tasks.ind.astype(bool)[:, None, :]
     literal = ((tentative != 0).astype(float) - (beta != 0)) @ pf
-    valid = ~tasks.invalid_sp
+    valid = ~tasks.invalid_sp & (gamma != 0)
     assert valid.any()
     assert np.array_equal(got[valid], literal[valid])
 
@@ -648,11 +725,70 @@ def test_reference_code_not_in_package():
 
 
 def test_fit_dispatch_passes_its_arguments_on(lr_problem):
-    """sboost refuses several datasets, and a keyword argument only the cd
-    fitter takes is an error for the others, not silently dropped."""
+    """sboost refuses several datasets, a keyword argument only the cd
+    fitter takes is an error for the others, not silently dropped, and int
+    and sep refuse a path that is not a lockstep path."""
     bundles, groups = lr_problem
     with pytest.raises(ValidationError, match="sboost takes a single dataset"):
         fit(bundles, groups, BoostConfig(T=5, algorithm="sboost"))
     with pytest.raises(TypeError):
         fit(bundles, groups, BoostConfig(T=5, algorithm="sep_sboost"), verify_partitions=True)
     assert fit(bundles, groups, BoostConfig(T=5), verify_partitions=True).t_hat >= 1
+    cd_path = _path(build_context(bundles, "lr"), groups, BoostConfig(T=5))
+    with pytest.raises(ValidationError, match="not the lockstep path"):
+        fit(bundles, groups, BoostConfig(T=5, algorithm="int_sboost"), path=cd_path)
+
+
+# byte-identity of the path ------------------------------------------------------
+
+
+def _sweep_bundles(model, M):
+    """M datasets of 24 rows and nine covariates in which columns 4 and 8
+    copy columns 1 and 7, so candidates tie exactly; with odd M, column 2
+    of dataset 0 is zero, so some subsets have a zero denominator there."""
+    make = make_lr_bundles if model == "lr" else make_aft_bundles
+    out = []
+    for b in make(np.random.default_rng(1000 + M), M=M, n=24, p=9):
+        X = b.X.copy()
+        X[:, 4], X[:, 8] = X[:, 1], X[:, 7]
+        if M % 2 and b.id == 0:
+            X[:, 2] = 0.0
+        out.append(DatasetBundle(X=X, y=b.y, delta=b.delta, id=b.id))
+    return out
+
+
+# sha256 over the paths of every lambda in {0, 0.5, 50}, both penalty modes,
+# cd and lockstep, T=25; recorded before the leaner iteration
+_PATH_SWEEP_SHA256 = {
+    ("lr", 1): "4e90d54304e3caccf1a1eb32860a48eb11b0cedd0b889c98062dd79e5110deca",
+    ("lr", 2): "9f03577e86befc5df831550fc50f0cb2fd8226dc372289b93f225cf2f9ddaf50",
+    ("lr", 3): "5fe89a2a0f6b44ca72373a4373d403378fefd9e090b2dd942ba2f97b326498d3",
+    ("lr", 4): "fe3ec755843654c4834523ebd7ea5f4b3eb342b01c36adfca302b9eba115b8b1",
+    ("lr", 5): "386aa1de58a1fe87931724718e97d51bc567c652c7e8ffe1feda9bc987a53702",
+    ("lr", 6): "191e7cd01649b2a97434f86a7a671bb3f7cf2d36dd8c44f8e6350874f105be42",
+    ("aft", 1): "b2ade63b302e1537996ea72a3522bd7abc87f8df82dca42ce15c4175de6656f8",
+    ("aft", 2): "0e0b58fe6410d67b541f6ac595781489e793ab3eab7a04524a0c831e085aa24f",
+    ("aft", 3): "1a6dfaa8389eb10846f2a55f3957c607fdcd9b74ec283061ab9b17716ece49f7",
+    ("aft", 4): "5d7c1494c6a5ec3da5774381bd98e431ae0d3c688d47179a9ca1270235b68dfa",
+    ("aft", 5): "53727f6538d4636b207c769ecf7e526c1e8632a836cbeb722133aeee7da075a1",
+    ("aft", 6): "eda37c36e014118e59c84eb8cfdbec58d5455b1ba5d2808033711efb22513d20",
+}
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_path_sweep_bytes_pinned(model, M):
+    bundles = _sweep_bundles(model, M)
+    with pytest.warns(UserWarning, match="zero-norm") if M % 2 else nullcontext():
+        ctx = build_context(bundles, model)
+    groups = tiny_groups(9, 3)
+    digest = hashlib.sha256()
+    for lam in (0.0, 0.5, 50.0):
+        for mode in ("all_pairs", "ordered"):
+            for lockstep in (False, True):
+                config = BoostConfig(T=25, lam=lam, penalty_mode=mode, model=model)
+                path = _path(ctx, groups, config, lockstep=lockstep)
+                for a in (path.s, path.gamma, path.loss, path.sparsity, path.penalty):
+                    digest.update(a.tobytes())
+                digest.update(repr(path.partitions).encode())
+    assert digest.hexdigest() == _PATH_SWEEP_SHA256[model, M]

@@ -232,6 +232,35 @@ def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
     assert got == _EARLY_STOP_SHA256
 
 
+# sha256 of `cdboost fit --lambda auto --iters 300` JSON (cd, and int, which
+# takes no lambda) on three LR datasets whose column 2
+# is constant, so standardized to zero: every subset has a zero denominator
+# there; recorded before the increments skipped the masked divide
+_CONSTANT_COLUMN_SHA256 = {
+    "cd-sboost": "b6b25db462a17ca1d64507b2f1af294358192c6e7f7e5ef96d898ca569824f22",
+    "int-sboost": "beea5338d8379abaeaaa87182eab7c981c3b21f0083660904fd6e0041a8bb67b",
+}
+
+
+def test_fit_with_a_constant_column_bytes_pinned(tmp_path, capsys):
+    paths, groups = _write_problem(tmp_path, np.random.default_rng(11), M=3, p=6)
+    for path in paths:
+        text = Path(path).read_text().splitlines()
+        rows = [line.split(",") for line in text]
+        for row in rows[1:]:
+            row[3] = "1.5"          # column 2, after y
+        Path(path).write_text("\n".join(",".join(row) for row in rows) + "\n")
+    got = {}
+    for method in _CONSTANT_COLUMN_SHA256:
+        out = tmp_path / f"{method}.json"
+        with pytest.warns(UserWarning, match="zero-norm"):
+            assert main(["fit", "--data", *paths, "--groups", groups, "--method", method,
+                         "--lambda", "auto", "--iters", "300", "--output", str(out)]) == 0
+        got[method] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert got == _CONSTANT_COLUMN_SHA256
+
+
 def test_simulate_design_flag_sets_scheme_and_noise(tmp_path):
     out = tmp_path / "s3"
     code = main(["simulate", "--preset", "standard", "--n", "30", "--p", "60",

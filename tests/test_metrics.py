@@ -3,6 +3,7 @@
 import json
 import time
 import warnings
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -398,6 +399,45 @@ def test_harnesses_refuse_an_algorithm_named_twice(rng, monkeypatch, methods):
     bundles = make_lr_bundles(rng, M=2, n=20, p=4)
     with pytest.raises(ValidationError, match="both name cd_sboost"):
         stability(bundles, tiny_groups(4, 1), BoostConfig(T=20), methods, n_splits=2)
+
+
+def _counting_run_fit(monkeypatch):
+    """Install a ``metrics.run_fit`` that records each fit's algorithm."""
+    calls, real = [], metrics.run_fit
+
+    def counting(bundles, groups, config, **kwargs):
+        calls.append(config.algorithm)
+        return real(bundles, groups, config, **kwargs)
+
+    monkeypatch.setattr(metrics, "run_fit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("together", [("cd", "int", "sep", "pool"), ("sep", "pool", "int")])
+def test_int_and_sep_rows_same_alone_or_together(rng, monkeypatch, together):
+    """Asked for together, int and sep share one lockstep path; their
+    benchmark and stability rows are the bytes they are alone, and each
+    method is still one ``run_fit`` call."""
+    calls = _counting_run_fit(monkeypatch)
+    design = _small_bench_design(model="aft")
+    config = BoostConfig(T=60, lam=0.5, model="aft")
+    bundles = make_aft_bundles(rng, M=3, n=32, p=6)
+    groups = tiny_groups(6, 2)
+
+    def rows(methods):
+        calls.clear()
+        report = benchmark(design, methods, replicates=2, config=config, tune=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            split = stability(bundles, groups, config, methods, n_splits=2, seed=1)
+        assert calls == [canonical_method(m) for m in methods] * 4
+        return {m: json.dumps(([asdict(r) for r in report.rows_for(m)], split[m]),
+                              sort_keys=True)
+                for m in methods}
+
+    joint = rows(together)
+    for method in ("int", "sep"):
+        assert joint[method] == rows((method,))[method]
 
 
 def test_benchmark_aft_smoke():
