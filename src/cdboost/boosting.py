@@ -11,10 +11,11 @@ classes never merge.  The path holds each group's classes as one label row
 (entry m is the smallest dataset in m's class): ``_split`` is the split
 rule, and ``_unequal`` counts differing pairs, both for the penalty trace
 and, on every candidate's split-off row at once, for the split costs of
-``_SubsetTasks``.  A fitter's kind sets its starting classes and which
-candidates step; the fitters also differ in where they stop.  The cd and
-lockstep fitters report the classes at their stop from the coefficients, by
-exact block comparison (``data.block_partitions``):
+``_SubsetTasks``.  Every fitter is a path plus a stop: its kind sets the
+path's starting classes and which candidates step, and its stopping rule
+picks each dataset's iteration, from which ``_stop`` replays the path and
+reads the classes off the coefficients by exact block comparison
+(``data.block_partitions``):
 
 * ``cd_sboost_fit``   -- all datasets start in one class per group; each
   iteration the single best candidate steps; stops at the first argmin of
@@ -25,7 +26,7 @@ exact block comparison (``data.block_partitions``):
   the argmin of its own trace.
 * ``int_sboost_fit``  -- the same paths, one shared stop at the argmin of the
   summed trace.  Int and sep share the path: ``lockstep_path`` builds it
-  once, and each of them then only stops and replays it.
+  once, and each of them then only stops on it.
 * ``sboost_fit``      -- one dataset: the M=1 case of the separate fit.
 * ``pool_sboost_fit`` -- all rows concatenated into one dataset, fit by
   ``sboost_fit``, the coefficient vector broadcast to every dataset.
@@ -34,7 +35,7 @@ All selections are deterministic: objective ties are broken toward the
 largest dataset subset, then the smallest covariate index, then the
 lexicographically smallest subset.  The path records its updates in two
 (T, M) arrays, entry (t, m) the covariate (-1 if none) and increment of
-dataset m's update at iteration t; each fit replays them up to its stop.
+dataset m's update at iteration t, which ``_stop`` replays.
 """
 
 import itertools
@@ -208,14 +209,6 @@ class _Path(NamedTuple):
     partitions: list[Partition]  # per-group classes after iteration T
     lockstep: bool
 
-    def steps(self, t):
-        """The (s, A, gamma) updates of iteration t, in the order applied."""
-        s, gamma = self.s[t].tolist(), self.gamma[t].tolist()
-        if self.lockstep:
-            return [(s[m], (m,), gamma[m]) for m in range(len(s))]
-        A = tuple(m for m, j in enumerate(s) if j >= 0)
-        return [(s[A[0]], A, gamma[A[0]])]
-
 
 def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
           verify_partitions=False, lockstep=False) -> _Path:
@@ -344,16 +337,19 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                  [label_classes(row) for row in labels], lockstep)
 
 
-def _replay(path: _Path, nu, p, t_stop):
-    """Coefficients after the first ``t_stop[m]`` iterations for dataset m.
-    ``np.add.at`` adds unbuffered and in index order, so each coefficient
-    sums its increments in step order, as the path did."""
-    beta = np.zeros((p, len(t_stop)))
+def _stop(path: _Path, groups: GroupStructure, nu, t_stop, trace, loss,
+          final_partitions=None) -> FitResult:
+    """The fit that stops dataset m after its first ``t_stop[m]`` updates of
+    ``path``, reporting the given traces.  ``np.add.at`` adds unbuffered and
+    in index order, so each coefficient sums its increments in step order,
+    as the path did; the classes are read off the coefficients."""
+    beta = np.zeros((groups.p, len(t_stop)))
     for m, stop in enumerate(t_stop):
         s, g = path.s[:stop, m], path.gamma[:stop, m]
         on = s >= 0
         np.add.at(beta[:, m], s[on], nu * g[on])
-    return beta
+    return FitResult(beta_hat=beta, t_hat=max(t_stop), partitions=block_partitions(beta, groups),
+                     objective_trace=trace, loss_trace=loss, final_partitions=final_partitions)
 
 
 def _first_argmin(trace) -> int:
@@ -365,7 +361,7 @@ def lockstep_path(bundles, groups: GroupStructure, config: BoostConfig) -> _Path
     """The lockstep path that ``sep_sboost_fit`` and ``int_sboost_fit`` stop
     on: the data validated, one loss context, every dataset in a class of
     its own, lambda 0.  Either fitter takes it as ``path`` and then only
-    stops and replays, so int and sep can share one path."""
+    stops on it, so int and sep can share one path."""
     bundles = list(bundles)
     validate(bundles, groups, config.model)
     ctx = build_context(bundles, config.model)
@@ -390,14 +386,7 @@ def _lockstep_fit(bundles, groups: GroupStructure, config: BoostConfig,
         t_stop = [_first_argmin(total)] * len(bundles)
     else:
         t_stop = [_first_argmin(trace) for trace in objective]
-    beta = _replay(path, config.nu, groups.p, t_stop)
-    return FitResult(
-        beta_hat=beta,
-        t_hat=max(t_stop),
-        partitions=block_partitions(beta, groups),
-        objective_trace=total,
-        loss_trace=np.sum(path.loss, axis=0),
-    )
+    return _stop(path, groups, config.nu, t_stop, total, np.sum(path.loss, axis=0))
 
 
 def sep_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig,
@@ -415,11 +404,13 @@ def int_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig,
     return _lockstep_fit(bundles, groups, config, shared_stop=True, path=path)
 
 
-def sboost_fit(bundle: DatasetBundle, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    """Sparse boosting on a single dataset: per step the (covariate,
-    increment) pair minimizing loss + sparsity term; stops at the trace
-    argmin."""
-    return sep_sboost_fit([bundle], groups, config)
+def sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
+    """Sparse boosting on a single dataset, given as a one-element list: per
+    step the (covariate, increment) pair minimizing loss + sparsity term;
+    stops at the trace argmin."""
+    if len(bundles) > 1:
+        raise ValidationError("sboost takes a single dataset; use sep-sboost")
+    return sep_sboost_fit(bundles, groups, config)
 
 
 def _pooled_bundle(bundles) -> DatasetBundle:
@@ -447,15 +438,9 @@ def pool_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> Fit
     bundles = list(bundles)
     validate(bundles, groups, config.model)
     M = len(bundles)
-    single = sboost_fit(_pooled_bundle(bundles), groups, config)
-    beta = np.repeat(single.beta_hat, M, axis=1)
-    return FitResult(
-        beta_hat=beta,
-        t_hat=single.t_hat,
-        partitions=[all_common_partition(M)] * groups.K,
-        objective_trace=single.objective_trace,
-        loss_trace=single.loss_trace,
-    )
+    single = sboost_fit([_pooled_bundle(bundles)], groups, config)
+    return replace(single, beta_hat=np.repeat(single.beta_hat, M, axis=1),
+                   partitions=[all_common_partition(M)] * groups.K)
 
 
 def cd_sboost_fit(
@@ -486,20 +471,12 @@ def cd_sboost_fit(
     path = _path(ctx, groups, config, verify_partitions)
     loss = sum(path.loss)
     trace = loss + sum(path.sparsity) + path.penalty
-    t_hat = _first_argmin(trace)
-    beta = _replay(path, config.nu, ctx.p, [t_hat] * ctx.M)
-    return FitResult(beta_hat=beta, t_hat=t_hat, partitions=block_partitions(beta, groups),
-                     objective_trace=trace, loss_trace=loss, final_partitions=path.partitions)
-
-
-def _single_sboost_fit(bundles, groups: GroupStructure, config: BoostConfig) -> FitResult:
-    if len(bundles) > 1:
-        raise ValidationError("sboost takes a single dataset; use sep-sboost")
-    return sep_sboost_fit(bundles, groups, config)
+    t_stop = [_first_argmin(trace)] * ctx.M
+    return _stop(path, groups, config.nu, t_stop, trace, loss, path.partitions)
 
 
 _FITTERS = {
-    "sboost": _single_sboost_fit,
+    "sboost": sboost_fit,
     "sep_sboost": sep_sboost_fit,
     "int_sboost": int_sboost_fit,
     "pool_sboost": pool_sboost_fit,

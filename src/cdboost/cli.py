@@ -74,21 +74,13 @@ def _validate(payload, schema_name: str) -> None:
 
 
 def _clean(obj):
-    """JSON-safe copy: numpy scalars to python, non-finite floats to null."""
+    """JSON-safe copy: non-finite floats to null."""
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else None
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 

@@ -1,9 +1,29 @@
+import ctypes
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdboost.data import DatasetBundle, GroupStructure, standardize_columns
+
+
+def pytest_report_header(config):
+    """The OpenBLAS core and thread count of numpy's bundled library: the
+    sha256 pins of float results hold for the core they were recorded under."""
+    libs = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None
+    found = []
+    for symbol, restype in (("scipy_openblas_get_corename64_", ctypes.c_char_p),
+                            ("scipy_openblas_get_num_threads64_", ctypes.c_int)):
+        fn = getattr(lib, symbol, None)
+        if fn is None:
+            found.append("unknown")
+            continue
+        fn.argtypes, fn.restype = [], restype
+        value = fn()
+        found.append(value.decode() if isinstance(value, bytes) else value)
+    return "openblas: core {}, threads {}".format(*found)
 
 
 def make_lr_bundles(rng, M=2, n=30, p=4, sparsity=2, scale=1.0):

@@ -352,6 +352,17 @@ def brute_cd_path(Xs, ys, ws, assignment, nu, T, lam, mode="all_pairs"):
     return records, np.array(trace), beta, parts
 
 
+def path_steps(path, t):
+    """The (s, A, gamma) updates of iteration t of a boosting path, in the
+    order applied, from its (T, M) step arrays: one per dataset on a
+    lockstep path, else the one subset of datasets that stepped jointly."""
+    s, gamma = path.s[t].tolist(), path.gamma[t].tolist()
+    if path.lockstep:
+        return [(s[m], (m,), gamma[m]) for m in range(len(s))]
+    A = tuple(m for m, j in enumerate(s) if j >= 0)
+    return [(s[A[0]], A, gamma[A[0]])]
+
+
 # ---------------------------------------------------------------------------
 # Metrics, the long way
 # ---------------------------------------------------------------------------

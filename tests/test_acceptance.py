@@ -57,6 +57,7 @@ from oracles import (
     commonality_penalty,
     ermse_direct,
     golden_section,
+    path_steps,
     quadratic_vertex,
     hdbic_direct,
     km_jump_weights,
@@ -154,7 +155,7 @@ def test_criterion_1_oracle_equivalence():
                              algorithm="cd_sboost")
         ctx = build_context(bundles, "lr")
         path = _path(ctx, groups, config)
-        records = [step for t in range(config.T) for step in path.steps(t)]
+        records = [step for t in range(config.T) for step in path_steps(path, t)]
         result = cd_sboost_fit(bundles, groups, config)
         trace = result.objective_trace
         b_records, b_trace, b_beta, _ = brute_cd_path(
@@ -193,7 +194,7 @@ def test_criterion_2_reduction_identities():
         groups = tiny_groups(6, 2)
         config = BoostConfig(T=120, lam=0.7, algorithm="cd_sboost")
         joint = cd_sboost_fit([bundle], groups, config)
-        single = sboost_fit(bundle, groups, config)
+        single = sboost_fit([bundle], groups, config)
         assert joint.t_hat == single.t_hat
         assert np.array_equal(joint.beta_hat, single.beta_hat)
         assert np.array_equal(joint.objective_trace, single.objective_trace)
@@ -208,7 +209,7 @@ def test_criterion_2_reduction_identities():
             y=np.concatenate([b.y for b in bundles]),
             id=0,
         )
-        single = sboost_fit(stacked, groups, config)
+        single = sboost_fit([stacked], groups, config)
         assert pooled.t_hat == single.t_hat
         for m in range(3):
             assert np.array_equal(pooled.beta_hat[:, m], single.beta_hat[:, 0])

@@ -168,7 +168,7 @@ def test_cd_objective_matches_manual(lr_problem):
 def test_sboost_recovers_strong_signal(rng):
     bundle, beta = strong_signal_bundle(rng)
     groups = tiny_groups(8, 2)
-    res = sboost_fit(bundle, groups, BoostConfig(T=300, model="lr"))
+    res = sboost_fit([bundle], groups, BoostConfig(T=300, model="lr"))
     assert set(res.selected[0]) >= {1, 4}
     assert res.beta_hat[1, 0] == pytest.approx(2.0, abs=0.35)
     assert 1 <= res.t_hat <= 300
@@ -176,7 +176,7 @@ def test_sboost_recovers_strong_signal(rng):
 
 def test_sboost_t_hat_is_trace_argmin(rng):
     bundle, _ = strong_signal_bundle(rng)
-    res = sboost_fit(bundle, tiny_groups(8, 2), BoostConfig(T=120, model="lr"))
+    res = sboost_fit([bundle], tiny_groups(8, 2), BoostConfig(T=120, model="lr"))
     assert res.t_hat == int(np.argmin(res.objective_trace)) + 1
 
 
@@ -203,7 +203,7 @@ def test_cd_single_dataset_equals_sboost(rng):
     bundle, _ = strong_signal_bundle(rng, n=40, p=6)
     groups = tiny_groups(6, 3)
     cfg = BoostConfig(T=100, model="lr")
-    a = sboost_fit(bundle, groups, cfg)
+    a = sboost_fit([bundle], groups, cfg)
     b = cd_sboost_fit([bundle], groups, cfg)
     assert a.t_hat == b.t_hat
     assert np.array_equal(a.beta_hat, b.beta_hat)
@@ -220,7 +220,7 @@ def test_pool_equals_sboost_on_stacked_rows(rng):
         delta=None,
         id=0,
     )
-    a = sboost_fit(pooled, groups, cfg)
+    a = sboost_fit([pooled], groups, cfg)
     b = pool_sboost_fit(bundles, groups, cfg)
     assert a.t_hat == b.t_hat
     for m in range(3):
@@ -238,7 +238,7 @@ def test_pool_aft_equals_fit_of_stacked_rows(rng):
     bundles = _tied_aft_bundles(rng, M=3, n=40, p=8)
     groups = tiny_groups(8, 2)
     cfg = BoostConfig(T=150, model="aft")
-    stacked = sboost_fit(oracles.stacked_bundle(bundles), groups, cfg)
+    stacked = sboost_fit([oracles.stacked_bundle(bundles)], groups, cfg)
     pooled = pool_sboost_fit(bundles, groups, cfg)
     assert pooled.t_hat == stacked.t_hat
     assert pooled.beta_hat.tobytes() == np.repeat(stacked.beta_hat, 3, axis=1).tobytes()
@@ -309,7 +309,7 @@ def test_lockstep_path_keeps_singleton_classes(rng):
     path = _path(ctx, groups, BoostConfig(T=40, model="lr"), lockstep=True)
     # singletons can never merge
     assert path.partitions == [((0,), (1,), (2,))] * 2
-    assert all(len(A) == 1 for t in range(40) for _, A, _ in path.steps(t))
+    assert all(len(A) == 1 for t in range(40) for _, A, _ in oracles.path_steps(path, t))
 
 
 @pytest.mark.parametrize("model", ["lr", "aft"])
@@ -370,8 +370,8 @@ def test_verify_partitions_accepts_classes_with_equal_blocks():
     never merge.  The check accepts that, and changes no byte of the fit."""
     bundles, groups = _copy_of_dataset_0()
     path = _path(build_context(bundles, "lr"), groups, _COPY_CONFIG)
-    (s6, A6, g6), = path.steps(5)
-    (s12, A12, g12), = path.steps(11)
+    (s6, A6, g6), = oracles.path_steps(path, 5)
+    (s12, A12, g12), = oracles.path_steps(path, 11)
     assert (s6, A6, s12, A12, g6) == (15, (3,), 15, (0,), g12)
     checked = cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
     assert _fit_bytes(checked) == _fit_bytes(cd_sboost_fit(bundles, groups, _COPY_CONFIG))
@@ -395,7 +395,7 @@ def test_verify_partitions_catches_a_split_on_a_zero_increment(monkeypatch):
     config = BoostConfig(T=3, lam=0.5)
     with pytest.warns(UserWarning, match="zero-norm"):
         path = _path(build_context(bundles, "lr"), groups, config, verify_partitions=True)
-    assert path.steps(0) == [(2, (0,), 0.0)]
+    assert oracles.path_steps(path, 0) == [(2, (0,), 0.0)]
     real_split = boosting._split
     monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: real_split(labels, k, A, 1.0))
     with pytest.warns(UserWarning, match="zero-norm"), \
@@ -522,7 +522,7 @@ def test_cd_path_matches_brute_force_unequal_n(M):
         config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
         ctx = build_context(bundles, "lr")
         path = _path(ctx, groups, config, verify_partitions=True)
-        records = [step for t in range(config.T) for step in path.steps(t)]
+        records = [step for t in range(config.T) for step in oracles.path_steps(path, t)]
         res = cd_sboost_fit(bundles, groups, config, verify_partitions=True)
         trace = res.objective_trace
         # the fit replays its path's steps up to t_hat, in step order
@@ -576,11 +576,11 @@ def test_cd_tie_break_on_exact_ties(y_of, tied, T, first):
     best = min(value.values())
     assert sorted(key for key, v in value.items() if v == best) == tied
     path = _path(ctx, groups, config)
-    assert path.steps(0) == [first]
+    assert oracles.path_steps(path, 0) == [first]
     b_records, _, _, _ = brute_cd_path(
         [b.X for b in bundles], [b.y for b in bundles], [np.full(30, 1 / 30)] * 2,
         groups.assignment, config.nu, config.T, 0.0)
-    assert [(s, A) for t in range(config.T) for s, A, _ in path.steps(t)] == \
+    assert [(s, A) for t in range(config.T) for s, A, _ in oracles.path_steps(path, t)] == \
         [(s, A) for s, A, _ in b_records]
 
 
@@ -639,7 +639,7 @@ def test_single_dataset_fitters_match_brute_force(model, seed, T, monkeypatch):
 
     def check_steps(path, m, records):
         """Dataset m's steps on the path against the oracle's; returns them."""
-        got = [next(step for step in path.steps(t) if step[1] == (m,))
+        got = [next(step for step in oracles.path_steps(path, t) if step[1] == (m,))
                for t in range(config.T)]
         assert [s for s, _, _ in got] == [s for s, _, _ in records]
         assert all(A == (0,) for _, A, _ in records)
@@ -658,7 +658,7 @@ def test_single_dataset_fitters_match_brute_force(model, seed, T, monkeypatch):
     stops = [int(np.argmin(trace)) + 1 for _, trace in brute]
 
     for m, (records, trace) in enumerate(brute):
-        res = sboost_fit(bundles[m], groups, config)
+        res = sboost_fit([bundles[m]], groups, config)
         got = check_steps(paths[-1], 0, records)
         assert np.allclose(res.objective_trace, trace, rtol=0.0, atol=1e-10)
         assert res.t_hat == stops[m]
@@ -715,8 +715,9 @@ def test_reference_code_not_in_package():
     assert not hasattr(CoefficientState, "initial")
     assert not hasattr(boosting, "PenaltySpec")
     for name in ("_unequal_pairs", "_split_delta", "_class_containing",
-                 "_check_starting_classes"):
+                 "_check_starting_classes", "_single_sboost_fit", "_replay"):
         assert not hasattr(boosting, name)
+    assert not hasattr(boosting._Path, "steps")
     for name in ("split_class", "partition_meet", "singleton_partitions",
                  "canonical_partition", "partition_labels", "block_partition"):
         assert not hasattr(cdboost.data, name)
@@ -758,7 +759,8 @@ def _sweep_bundles(model, M):
 
 
 # sha256 over the paths of every lambda in {0, 0.5, 50}, both penalty modes,
-# cd and lockstep, T=25; recorded before the leaner iteration
+# cd and lockstep, T=25; recorded before the leaner iteration, under OpenBLAS
+# SkylakeX (the core the pytest header prints)
 _PATH_SWEEP_SHA256 = {
     ("lr", 1): "4e90d54304e3caccf1a1eb32860a48eb11b0cedd0b889c98062dd79e5110deca",
     ("lr", 2): "9f03577e86befc5df831550fc50f0cb2fd8226dc372289b93f225cf2f9ddaf50",
@@ -792,3 +794,43 @@ def test_path_sweep_bytes_pinned(model, M):
                     digest.update(a.tobytes())
                 digest.update(repr(path.partitions).encode())
     assert digest.hexdigest() == _PATH_SWEEP_SHA256[model, M]
+
+
+def _pinned_fit_bundles(model):
+    """Three datasets of 30 rows, 24 covariates and a weak two-covariate
+    signal; for aft the same rows with about 30% of them censored."""
+    rng = np.random.default_rng(17)
+    bundles = make_lr_bundles(rng, M=3, n=30, p=24, scale=0.5)
+    if model == "lr":
+        return bundles
+    return [DatasetBundle(X=b.X, y=b.y, delta=(rng.random(b.n) < 0.7).astype(int), id=b.id)
+            for b in bundles]
+
+
+# sha256 over every field of the FitResult of each algorithm through ``fit``,
+# lambda 0.2, nu 0.5, T=150; every stop falls below T; recorded before the
+# fitters shared one stop helper, under SkylakeX
+_FIT_SHA256 = {
+    ("lr", "sboost"): "fa4b7874e53e60ed5fb2a8650fdf72af6e86162bc1f5e622effc19e0aa25b2b4",
+    ("lr", "sep_sboost"): "b95ca3c84f3ace69d98e34af5af23e992affc8a330b32544b451cd4d8dd26f37",
+    ("lr", "int_sboost"): "d434294c5acedfb5c70ab9543ac361758a42c482c4ff4596023cb39a467ebe8d",
+    ("lr", "pool_sboost"): "8f77058176a802382e26ad2e0f0461c0e1e5de1dd2368ad94bfd44390943fe48",
+    ("lr", "cd_sboost"): "e7d9466d77048ff4eb3765fad3ee09beda9cccda8c4d3b8d654d187cb370bdf2",
+    ("aft", "sboost"): "47e08fe65e8f93335a9947b69adc22a2b54b5c23b074f4e5cd4e265ce9caf03b",
+    ("aft", "sep_sboost"): "ab7e63a8f12c9696802355f88f1ada67f891ce33dc971cd59729ec83a03902c5",
+    ("aft", "int_sboost"): "71eef118419f29f5ae5ce1a454a97fffe7180a55c0173e8247ca784f6074503e",
+    ("aft", "pool_sboost"): "d0da45d17d3e94351157e58ce0fd1e3d2a54be0de31d51a7f127b87b61684a1a",
+    ("aft", "cd_sboost"): "77852e426048edd17cc832f1f57c3a9a487d631820fee5d913d8f52600020c39",
+}
+
+
+@pytest.mark.parametrize("algorithm", ["sboost", "sep_sboost", "int_sboost", "pool_sboost",
+                                       "cd_sboost"])
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_fit_result_bytes_pinned(model, algorithm):
+    bundles = _pinned_fit_bundles(model)
+    config = BoostConfig(T=150, lam=0.2, nu=0.5, model=model, algorithm=algorithm)
+    res = fit(bundles[:1] if algorithm == "sboost" else bundles, tiny_groups(24, 4), config)
+    assert res.t_hat < config.T
+    digest = hashlib.sha256(repr(_fit_bytes(res)).encode()).hexdigest()
+    assert digest == _FIT_SHA256[model, algorithm]

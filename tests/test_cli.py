@@ -62,7 +62,8 @@ def test_simulate_byte_identical_across_runs(tmp_path):
 
 # sha256 of every file `cdboost simulate --preset reduced --seed 1` writes,
 # recorded with the cell-by-cell csv.writer writer (now
-# oracles.write_dataset_csv_cellwise) before data rows were joined directly
+# oracles.write_dataset_csv_cellwise) before data rows were joined directly,
+# under OpenBLAS SkylakeX (the core the pytest header prints)
 _REDUCED_SEED1_SHA256 = {
     "lr": {
         "dataset_1.csv": "d3700af0101ef0b80155c85f8cb83a7d18f801c6824db99d78bd1c9f104c0661",
@@ -94,7 +95,7 @@ def test_simulate_bytes_pinned(tmp_path, capsys, model):
 
 # sha256 of every file of the small example (seed 0, lr and aft) and of
 # the reduced preset under the fixed scheme with every scenario drawn,
-# recorded before the scenarios were stated as one table
+# recorded before the scenarios were stated as one table, under SkylakeX
 _SCENARIO_SHA256 = {
     "small-example lr": {
         "dataset_1.csv": "25e986f418f4d79984c25c9095055afece56a8b802c59922c2ca655ecb387032",
@@ -147,7 +148,8 @@ def reduced_seed1(tmp_path_factory):
 # sha256 of `cdboost fit --iters 200` JSON (cd with --lambda auto, sep and
 # pool) on the reduced seed-1 files pinned above, recorded before loading
 # and pooling stopped copying arrays; int and cd at a fixed lambda were
-# recorded before the starting classes were set by the fitter's kind
+# recorded before the starting classes were set by the fitter's kind;
+# all under SkylakeX
 _FIT_SEED1_SHA256 = {
     ("lr", True): {
         "cd-sboost": "1cbadab45d040e5c327147b71e52a8f5124a77fd8c0d7c6fe21d9391afea24b2",
@@ -204,7 +206,7 @@ def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
 # sha256 of `cdboost fit --lambda 2 --iters 1000 --nu 0.5` JSON on
 # `simulate --preset reduced --n 60 --p 80 --k 4 --seed 2`, with the stop
 # of each fit, all below the cap (sep's datasets stop at 82, 233 and 190);
-# recorded before the path was held as per-dataset step arrays
+# recorded before the path was held as per-dataset step arrays, under SkylakeX
 _EARLY_STOP_SHA256 = {
     "cd-sboost": (166, "f022312862d8020c49bc78aa2e26e635ee911a8ef49dae62bcb879e0eb4c69a1"),
     "sep-sboost": (233, "248996f6d916e775171b6a38ed97c74f5d06c3a366fc013eb97a10f2e5e889ca"),
@@ -235,7 +237,8 @@ def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
 # sha256 of `cdboost fit --lambda auto --iters 300` JSON (cd, and int, which
 # takes no lambda) on three LR datasets whose column 2
 # is constant, so standardized to zero: every subset has a zero denominator
-# there; recorded before the increments skipped the masked divide
+# there; recorded before the increments skipped the masked divide, under
+# SkylakeX
 _CONSTANT_COLUMN_SHA256 = {
     "cd-sboost": "b6b25db462a17ca1d64507b2f1af294358192c6e7f7e5ef96d898ca569824f22",
     "int-sboost": "beea5338d8379abaeaaa87182eab7c981c3b21f0083660904fd6e0041a8bb67b",
