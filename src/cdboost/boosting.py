@@ -15,7 +15,10 @@ and, on every candidate's split-off row at once, for the split costs of
 path's starting classes and which candidates step, and its stopping rule
 picks each dataset's iteration, from which ``_stop`` replays the path and
 reads the classes off the coefficients by exact block comparison
-(``data.block_partitions``):
+(``data.block_partitions``).  ``verify_partitions`` cross-checks the tracked
+classes against the coefficients after every step: one gather compares
+every coefficient with that of its class's labelling dataset, in every
+group at once.  The fitters:
 
 * ``cd_sboost_fit``   -- all datasets start in one class per group; each
   iteration the single best candidate steps; stops at the first argmin of
@@ -53,7 +56,6 @@ from .data import (
     ValidationError,
     all_common_partition,
     block_partitions,
-    equal_columns,
     label_classes,
     validate,
 )
@@ -78,29 +80,6 @@ def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> boo
     for m in rest:
         row[m] = rest[0]
     return True
-
-
-def _holds_blocks(row: list[int], block: np.ndarray, before: list[int] | None = None) -> bool:
-    """Whether every class of a label row holds identical columns of a
-    (rows, M) block and, given the row ``before`` a split, whether every
-    pair of datasets the split put apart holds different ones.  Classes
-    never merge, so two classes may come to hold equal blocks later on."""
-    if not (block == block[:, row]).all():
-        return False
-    if before is None:
-        return True
-    eq = equal_columns(block)
-    before, row = np.asarray(before), np.asarray(row)
-    apart = (before[:, None] == before) & (row[:, None] != row)
-    return not (eq & apart).any()
-
-
-def _columns(idx: np.ndarray):
-    """Sorted column indices as a slice when they form one range, so that
-    indexing with them gives a view rather than a copy."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
 
 
 def _unequal(labels, mode: str) -> np.ndarray:
@@ -157,9 +136,7 @@ class _SubsetTasks:
         dsplit = pen_scale * np.where(valid, _unequal(split, mode) - _unequal(labels, mode), 0)
         self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
-        self.okA = self.denA > 0
-        self.all_ok = bool(self.okA.all())
-        self.invalid_sp = ~valid[:, assignment]     # (S, p)
+        self.all_ok = bool((self.denA > 0).all())
         # (S, p): the split cost where A is a candidate for the covariate,
         # inf where it is not
         self.pen_sp = np.where(valid, dsplit, np.inf)[:, assignment]
@@ -224,10 +201,12 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     ``_SubsetTasks`` exact.  The penalty counts all dataset pairs, or the
     adjacent ones under ``ordered``.
 
-    ``verify_partitions`` checks the invariant the engine relies on, after
-    every step and again after the loop: every tracked class holds identical
-    coefficient blocks, and a split puts apart datasets whose blocks differ
-    (``_holds_blocks``); otherwise ``AssertionError`` is raised.
+    ``verify_partitions`` checks the invariant the engine relies on after
+    every step, in every group: each coefficient equals that of the dataset
+    labelling its class, one gather through the (M, p) map ``rep`` of flat
+    indices into ``coef``, and a split leaves the two halves holding
+    different blocks.  Otherwise ``AssertionError`` names the first failing
+    group.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
@@ -259,7 +238,9 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     loss = np.empty((M, T))
     sparsity = np.empty((M, T))
     penalty = np.empty(T)
-    group_cols = [_columns(groups.indices(k)) for k in range(K)] if verify_partitions else None
+    # entry (m, s): covariate s of the dataset whose label names m's class
+    # in s's group; a split rewrites only its group's columns
+    rep = np.asarray(labels)[assignment].T * p + np.arange(p) if verify_partitions else None
 
     for t in range(T):
         numA = tasks.ind @ numer                                    # (S, p)
@@ -267,7 +248,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             gamma = numA / tasks.denA
         else:
             gamma = np.divide(numA, tasks.denA, out=np.zeros(numA.shape),
-                              where=tasks.okA)
+                              where=tasks.denA > 0)
         # h - gamma*numA with h = ((0.5*gamma)*gamma)*denA: the bits of
         # -gamma*numA + h, with no temporaries beyond dobj
         dobj = 0.5 * gamma
@@ -285,7 +266,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             # a zero increment changes no term: 0 for a candidate, else inf
             zero = gamma == 0
             dobj[zero] = 0.0
-            dobj[zero & tasks.invalid_sp] = np.inf
+            dobj[zero & np.isinf(tasks.pen_sp)] = np.inf
 
         js = dobj.argmin(axis=1)  # per subset: first minimum, smallest s
         # ties: largest subset, then smallest s, then subset order (lexicographic)
@@ -314,25 +295,26 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 cur_loss[m] = loss_of(m)
             if split or support_moved:
                 support = _Support(tasks, coef)
-            # only group k_hat changed; untouched groups hold by induction,
-            # and the full state is re-checked after the loop
-            if verify_partitions and not _holds_blocks(
-                    labels[k_hat], coef[:, group_cols[k_hat]].T, before if split else None):
-                raise AssertionError(
-                    f"iteration {t + 1}: tracked partition of group {k_hat} "
-                    f"disagrees with element-wise comparison"
-                )
+            if verify_partitions:
+                if split:
+                    cols = groups.indices(k_hat)
+                    rep[:, cols] = np.asarray(labels[k_hat])[:, None] * p + cols
+                    # each half holds one block once the map check passes;
+                    # the rest of the class is labelled by its smallest member
+                    rest = next(m for m, c in enumerate(before)
+                                if c == before[A_hat[0]] and m not in A_hat)
+                bad = assignment[(coef.take(rep) != coef).any(axis=0)]
+                if bad.size or split and (coef[A_hat[0], cols] == coef[rest, cols]).all():
+                    raise AssertionError(
+                        f"iteration {t + 1}: tracked partition of group "
+                        f"{int(bad.min()) if bad.size else k_hat} "
+                        f"disagrees with element-wise comparison"
+                    )
 
         loss[:, t] = cur_loss
         sparsity[:, t] = nnz
         penalty[t] = pen
     sparsity *= pf[:, None]
-
-    if verify_partitions and not all(_holds_blocks(row, coef[:, cols].T)
-                                     for row, cols in zip(labels, group_cols)):
-        raise AssertionError(
-            "final state: a tracked class holds blocks that differ element-wise"
-        )
     return _Path(s_steps, g_steps, loss, sparsity, penalty,
                  [label_classes(row) for row in labels], lockstep)
 

@@ -246,8 +246,10 @@ def _design_from_args(args) -> SimDesign:
 
 def cmd_fit(args) -> int:
     _check_outputs(args.output)
-    bundles, groups, model = _load_problem(args)
     method = canonical_method(args.method)
+    if args.grid is not None and (args.lam != "auto" or method != "cd_sboost"):
+        raise ValidationError("--grid applies only to cd-sboost with --lambda auto")
+    bundles, groups, model = _load_problem(args)
     config = _boost_config(args, method, model)
     lam = config.lam
     if args.lam == "auto" and method == "cd_sboost":

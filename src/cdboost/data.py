@@ -11,10 +11,11 @@ per group (entry m is the smallest dataset in m's class): datasets that
 receive identical joint increments keep exactly equal coefficient blocks, so
 its step loop compares no floats.  The classes the cd and lockstep fitters
 report are read off the coefficients by exact block comparison instead,
-through ``block_partitions``; ``block_labels`` gives one group's label row,
-which the cd path's ``verify_partitions`` check compares with the tracked
-row.
-Every exact block comparison in the package goes through ``equal_columns``.
+through ``block_partitions``, which builds each group's label row with
+``block_labels``.  Every block comparison here goes through
+``equal_columns``; the cd path's ``verify_partitions`` check instead compares
+each coefficient with that of the dataset labelling its tracked class, which
+needs no pairwise (M, M) table.
 
 A bundle owns its arrays.  The CSV reader puts the covariate cells of
 each row into one float64 table and collects ``y`` and ``delta`` apart;

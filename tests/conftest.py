@@ -8,22 +8,33 @@ import pytest
 from cdboost.data import DatasetBundle, GroupStructure, standardize_columns
 
 
-def pytest_report_header(config):
-    """The OpenBLAS core and thread count of numpy's bundled library: the
-    sha256 pins of float results hold for the core they were recorded under."""
+def _openblas(name: str, restype):
+    """``scipy_openblas_get_<name>64_()`` of numpy's bundled OpenBLAS, or
+    "unknown" where the library or the symbol is missing."""
     libs = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*"))
     lib = ctypes.CDLL(str(libs[0])) if libs else None
-    found = []
-    for symbol, restype in (("scipy_openblas_get_corename64_", ctypes.c_char_p),
-                            ("scipy_openblas_get_num_threads64_", ctypes.c_int)):
-        fn = getattr(lib, symbol, None)
-        if fn is None:
-            found.append("unknown")
-            continue
-        fn.argtypes, fn.restype = [], restype
-        value = fn()
-        found.append(value.decode() if isinstance(value, bytes) else value)
-    return "openblas: core {}, threads {}".format(*found)
+    fn = getattr(lib, f"scipy_openblas_get_{name}64_", None)
+    if fn is None:
+        return "unknown"
+    fn.argtypes, fn.restype = [], restype
+    value = fn()
+    return value.decode() if isinstance(value, bytes) else value
+
+
+def openblas_core() -> str:
+    """The OpenBLAS core numpy's bundled library runs under: the sha256 pins
+    of float results hold for the core they were recorded under."""
+    return _openblas("corename", ctypes.c_char_p)
+
+
+def pin_message() -> str:
+    """The message of a failing sha256 pin, naming the core it was recorded
+    under and the core running now."""
+    return f"recorded under SkylakeX, running under {openblas_core()}"
+
+
+def pytest_report_header(config):
+    return f"openblas: core {openblas_core()}, threads {_openblas('num_threads', ctypes.c_int)}"
 
 
 def make_lr_bundles(rng, M=2, n=30, p=4, sparsity=2, scale=1.0):

@@ -36,7 +36,7 @@ from cdboost.data import (
 )
 from cdboost.losses import build_context
 
-from conftest import make_lr_bundles, make_aft_bundles, tiny_groups, traced_peak
+from conftest import make_lr_bundles, make_aft_bundles, pin_message, tiny_groups, traced_peak
 from oracles import (
     Candidate,
     PenaltySpec,
@@ -412,6 +412,27 @@ def test_verify_partitions_catches_a_step_to_part_of_a_class(monkeypatch):
         cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
 
 
+def test_verify_partitions_reports_a_stray_write_where_it_happens(monkeypatch):
+    """A write to a coefficient of group 1 during a step on another group
+    leaves a class of group 1 holding unequal blocks; the check names that
+    iteration, as it checks every group after every step."""
+    real_support = boosting._Support
+    builds = []
+
+    class StraySupport(real_support):
+        def __init__(self, tasks, coef):
+            builds.append(None)
+            if len(builds) == 3:
+                coef[1, 3] += 1e-3
+            super().__init__(tasks, coef)
+
+    monkeypatch.setattr(boosting, "_Support", StraySupport)
+    bundles = make_lr_bundles(np.random.default_rng(3), M=3, n=30, p=9)
+    with pytest.raises(AssertionError, match="iteration 4: tracked partition of group 1 "):
+        cd_sboost_fit(bundles, tiny_groups(9, 3), BoostConfig(T=40, lam=0.5),
+                      verify_partitions=True)
+
+
 def test_fit_dispatch(lr_problem):
     bundles, groups = lr_problem
     for algorithm in ("sep_sboost", "int_sboost", "pool_sboost", "cd_sboost"):
@@ -444,7 +465,6 @@ def test_label_rows_match_partition_oracles(M, mode, data):
     for i, A in enumerate(tasks.subsets):
         for k, pt in enumerate(parts):
             inside = any(set(A) <= set(c) for c in pt)
-            assert tasks.invalid_sp[i, 2 * k] == (not inside)
             assert np.isinf(tasks.pen_sp[i, 2 * k]) == (not inside)
             if inside:
                 added = (oracles.unequal_pairs(oracles.split(pt, A), M, mode)
@@ -498,7 +518,7 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
     _Support(tasks, coef).add_change(got, coef, gamma)
     tentative = beta[None, :, :] + gamma[:, :, None] * tasks.ind.astype(bool)[:, None, :]
     literal = ((tentative != 0).astype(float) - (beta != 0)) @ pf
-    valid = ~tasks.invalid_sp & (gamma != 0)
+    valid = ~np.isinf(tasks.pen_sp) & (gamma != 0)
     assert valid.any()
     assert np.array_equal(got[valid], literal[valid])
 
@@ -715,7 +735,8 @@ def test_reference_code_not_in_package():
     assert not hasattr(CoefficientState, "initial")
     assert not hasattr(boosting, "PenaltySpec")
     for name in ("_unequal_pairs", "_split_delta", "_class_containing",
-                 "_check_starting_classes", "_single_sboost_fit", "_replay"):
+                 "_check_starting_classes", "_single_sboost_fit", "_replay",
+                 "_holds_blocks", "_columns"):
         assert not hasattr(boosting, name)
     assert not hasattr(boosting._Path, "steps")
     for name in ("split_class", "partition_meet", "singleton_partitions",
@@ -745,8 +766,12 @@ def test_fit_dispatch_passes_its_arguments_on(lr_problem):
 
 def _sweep_bundles(model, M):
     """M datasets of 24 rows and nine covariates in which columns 4 and 8
-    copy columns 1 and 7, so candidates tie exactly; with odd M, column 2
-    of dataset 0 is zero, so some subsets have a zero denominator there."""
+    copy columns 1 and 7, so candidates tie in exact arithmetic; with odd M,
+    column 2 of dataset 0 is zero, so some subsets have a zero denominator
+    there.  The gemv need not give copied columns equal numerators: for lr
+    with M=1 at iteration 6, SkylakeX gives columns 7 and 8 numerators one
+    ulp apart and steps covariate 8, where Prescott and Sandybridge give
+    equal ones and the tie-break steps 7."""
     make = make_lr_bundles if model == "lr" else make_aft_bundles
     out = []
     for b in make(np.random.default_rng(1000 + M), M=M, n=24, p=9):
@@ -758,9 +783,27 @@ def _sweep_bundles(model, M):
     return out
 
 
-# sha256 over the paths of every lambda in {0, 0.5, 50}, both penalty modes,
-# cd and lockstep, T=25; recorded before the leaner iteration, under OpenBLAS
-# SkylakeX (the core the pytest header prints)
+def _sweep_runs(model, M):
+    """Every lambda in {0, 0.5, 50}, both penalty modes, cd and lockstep,
+    T=25, on ``_sweep_bundles``: (context, groups, config, lockstep)."""
+    bundles = _sweep_bundles(model, M)
+    with pytest.warns(UserWarning, match="zero-norm") if M % 2 else nullcontext():
+        ctx = build_context(bundles, model)
+    groups = tiny_groups(9, 3)
+    for lam in (0.0, 0.5, 50.0):
+        for mode in ("all_pairs", "ordered"):
+            for lockstep in (False, True):
+                yield ctx, groups, BoostConfig(T=25, lam=lam, penalty_mode=mode,
+                                               model=model), lockstep
+
+
+def _path_bytes(path):
+    return (path.s.tobytes(), path.gamma.tobytes(), path.loss.tobytes(),
+            path.sparsity.tobytes(), path.penalty.tobytes(), repr(path.partitions).encode())
+
+
+# sha256 over the paths of ``_sweep_runs``; recorded before the leaner
+# iteration, under OpenBLAS SkylakeX (the core the pytest header prints)
 _PATH_SWEEP_SHA256 = {
     ("lr", 1): "4e90d54304e3caccf1a1eb32860a48eb11b0cedd0b889c98062dd79e5110deca",
     ("lr", 2): "9f03577e86befc5df831550fc50f0cb2fd8226dc372289b93f225cf2f9ddaf50",
@@ -776,24 +819,51 @@ _PATH_SWEEP_SHA256 = {
     ("aft", 6): "eda37c36e014118e59c84eb8cfdbec58d5455b1ba5d2808033711efb22513d20",
 }
 
+# sha256 over only the covariates stepped (``path.s``) and the final classes
+# of the same paths, recorded under SkylakeX; the same under Haswell and Zen
+_PATH_SWEEP_SELECTIONS_SHA256 = {
+    ("lr", 1): "533f078cc29efb69d61ca008dfa8f35f67d9d6db5b88f41a4e3628925e87ab87",
+    ("lr", 2): "70980bbc67c9f8069d2a3356acff8cec086a03f07a9b119ff58986241b82cdba",
+    ("lr", 3): "5abaf606b1b972187a9b48758c12b4104506064ff93448d6929e7701957eb438",
+    ("lr", 4): "49e926c857c860534de2cb55f96e658ccbc439d9c4ed032b9cad12c161f3d882",
+    ("lr", 5): "a9b01b0164ee8969ddce6c287be213f292a7f61f135e8f141f1deb13f0f47b52",
+    ("lr", 6): "a5bc232c78fac7883a017e2361d541d612fd3ab5f65a1c1a27f5e7785ea7295e",
+    ("aft", 1): "59f4d8b555269513b832cb259239d40b4057ce12285cfcd13f829f91cac1e4f4",
+    ("aft", 2): "8c0d7112c3942c2a6557c62584512f20123fcde3bcf30e78208c64417445f42c",
+    ("aft", 3): "b581733218db3d35057c2b7b614ec2064dcaee67edcb87d72bc083a1fa490c52",
+    ("aft", 4): "e544612a8f21b0444fe5fe3392262bf4797033567042dc1b255467bb8af5a694",
+    ("aft", 5): "7592ee258d7f2e40fd79d7c5a26715092f428e662e864ff5e22656251270f806",
+    ("aft", 6): "770fb2a6415883104dcbb5db45287762b04848fbc50726366d65b63d3bf67ff4",
+}
+
 
 @pytest.mark.parametrize("M", range(1, 7))
 @pytest.mark.parametrize("model", ["lr", "aft"])
 def test_path_sweep_bytes_pinned(model, M):
-    bundles = _sweep_bundles(model, M)
-    with pytest.warns(UserWarning, match="zero-norm") if M % 2 else nullcontext():
-        ctx = build_context(bundles, model)
-    groups = tiny_groups(9, 3)
+    """The pinned bytes, and every cd path run with ``verify_partitions``
+    equal to the unchecked one: the check passes through exact ties, zero
+    denominators, both penalty modes and lambda up to 50, and moves no bit."""
     digest = hashlib.sha256()
-    for lam in (0.0, 0.5, 50.0):
-        for mode in ("all_pairs", "ordered"):
-            for lockstep in (False, True):
-                config = BoostConfig(T=25, lam=lam, penalty_mode=mode, model=model)
-                path = _path(ctx, groups, config, lockstep=lockstep)
-                for a in (path.s, path.gamma, path.loss, path.sparsity, path.penalty):
-                    digest.update(a.tobytes())
-                digest.update(repr(path.partitions).encode())
-    assert digest.hexdigest() == _PATH_SWEEP_SHA256[model, M]
+    for ctx, groups, config, lockstep in _sweep_runs(model, M):
+        got = _path_bytes(_path(ctx, groups, config, lockstep=lockstep))
+        for b in got:
+            digest.update(b)
+        if not lockstep:
+            assert _path_bytes(_path(ctx, groups, config, verify_partitions=True)) == got
+    assert digest.hexdigest() == _PATH_SWEEP_SHA256[model, M], pin_message()
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_path_sweep_selections_pinned(model, M):
+    """The selection-level twin of the byte pin, which holds under more
+    OpenBLAS cores: no increment, loss or trace bit enters it."""
+    digest = hashlib.sha256()
+    for ctx, groups, config, lockstep in _sweep_runs(model, M):
+        path = _path(ctx, groups, config, lockstep=lockstep)
+        digest.update(path.s.tobytes())
+        digest.update(repr(path.partitions).encode())
+    assert digest.hexdigest() == _PATH_SWEEP_SELECTIONS_SHA256[model, M], pin_message()
 
 
 def _pinned_fit_bundles(model):
@@ -833,4 +903,4 @@ def test_fit_result_bytes_pinned(model, algorithm):
     res = fit(bundles[:1] if algorithm == "sboost" else bundles, tiny_groups(24, 4), config)
     assert res.t_hat < config.T
     digest = hashlib.sha256(repr(_fit_bytes(res)).encode()).hexdigest()
-    assert digest == _FIT_SHA256[model, algorithm]
+    assert digest == _FIT_SHA256[model, algorithm], pin_message()

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cdboost.cli import _merge_config, build_parser, main
 from cdboost.data import GroupStructure, write_dataset_csv, write_groups_tsv
 
-from conftest import make_lr_bundles
+from conftest import make_lr_bundles, pin_message
 
 
 def _write_problem(tmp_path, rng, M=2, n=40, p=6, K=2):
@@ -90,7 +90,7 @@ def test_simulate_bytes_pinned(tmp_path, capsys, model):
     capsys.readouterr()
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(out.iterdir())}
-    assert got == _REDUCED_SEED1_SHA256[model]
+    assert got == _REDUCED_SEED1_SHA256[model], pin_message()
 
 
 # sha256 of every file of the small example (seed 0, lr and aft) and of
@@ -133,7 +133,7 @@ def test_simulate_scenario_bytes_pinned(tmp_path, capsys, label, flags):
     capsys.readouterr()
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(out.iterdir())}
-    assert got == _SCENARIO_SHA256[label]
+    assert got == _SCENARIO_SHA256[label], pin_message()
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,7 @@ def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
         assert main([*argv, "--method", label.split()[0], *flags, "--output", str(out)]) == 0
         got[label] = hashlib.sha256(out.read_bytes()).hexdigest()
     capsys.readouterr()
-    assert got == _FIT_SEED1_SHA256[model, standardize]
+    assert got == _FIT_SEED1_SHA256[model, standardize], pin_message()
 
 
 # sha256 of `cdboost fit --lambda 2 --iters 1000 --nu 0.5` JSON on
@@ -231,7 +231,7 @@ def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
         got[method] = (json.loads(out.read_text())["t_hat"],
                        hashlib.sha256(out.read_bytes()).hexdigest())
     capsys.readouterr()
-    assert got == _EARLY_STOP_SHA256
+    assert got == _EARLY_STOP_SHA256, pin_message()
 
 
 # sha256 of `cdboost fit --lambda auto --iters 300` JSON (cd, and int, which
@@ -261,7 +261,7 @@ def test_fit_with_a_constant_column_bytes_pinned(tmp_path, capsys):
                          "--lambda", "auto", "--iters", "300", "--output", str(out)]) == 0
         got[method] = hashlib.sha256(out.read_bytes()).hexdigest()
     capsys.readouterr()
-    assert got == _CONSTANT_COLUMN_SHA256
+    assert got == _CONSTANT_COLUMN_SHA256, pin_message()
 
 
 def test_simulate_design_flag_sets_scheme_and_noise(tmp_path):
@@ -526,6 +526,10 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("fit-grid-empty", 2),
     ("fit-grid-empty-in-config", 2),
     ("fit-grid-non-numeric", 2),
+    ("fit-grid-with-fixed-lambda", 3),
+    ("fit-grid-with-sep", 3),
+    ("fit-grid-in-config-with-fixed-lambda", 3),
+    ("fit-grid-in-config-with-pool", 3),
     ("simulate-rho-non-numeric", 2),
     ("benchmark-rho-two-values", 2),
     ("fit-workers-negative", 3),
@@ -550,6 +554,7 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     bad.write_bytes("y,x1\n1.0,café\n".encode("latin-1"))
     outdir = ["--outdir", str(tmp_path / "sim")]
     (tmp_path / "grid.cfg").write_text("grid =\n")
+    (tmp_path / "grid12.cfg").write_text("grid = 1,2\n")
     (tmp_path / "workers.cfg").write_text("workers = 0\n")
     (tmp_path / "dup.csv").write_text("y,x1,x1,x2\n1.0,2.0,3.0,4.0\n2.0,1.0,0.0,1.5\n")
     (tmp_path / "dup.tsv").write_text("x1\t1\nx2\t2\n")
@@ -591,6 +596,12 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "fit-grid-empty": [*fit, "--grid", ""],
         "fit-grid-empty-in-config": [*fit, "--config", str(tmp_path / "grid.cfg")],
         "fit-grid-non-numeric": [*fit, "--grid", "0,abc"],
+        "fit-grid-with-fixed-lambda": [*fit, "--lambda", "0.5", "--grid", "1,2"],
+        "fit-grid-with-sep": [*fit, "--method", "sep-sboost", "--grid", "1,2"],
+        "fit-grid-in-config-with-fixed-lambda": [*fit, "--lambda", "0.5",
+                                                 "--config", str(tmp_path / "grid12.cfg")],
+        "fit-grid-in-config-with-pool": [*fit, "--method", "pool-sboost",
+                                         "--config", str(tmp_path / "grid12.cfg")],
         "simulate-rho-non-numeric": [*_SIM, *outdir, "--rho", "a,b,c"],
         "benchmark-rho-two-values": [*_BENCH, "--rho", "0.5,0.5"],
         "fit-workers-negative": [*fit, "--lambda", "1", "--workers", "-3"],
