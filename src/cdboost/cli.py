@@ -27,6 +27,7 @@ from .data import (
     load_bundles,
     read_groups_tsv,
 )
+from .losses import survival_sorted
 from .metrics import benchmark, canonical_method, stability
 from .simulate import SMALL_EXAMPLE_SCENARIOS, SimDesign, small_example_design, write_simulation
 from .tuning import default_lambda_grid, hdbic, select_lambda, LambdaGrid
@@ -250,6 +251,8 @@ def cmd_fit(args) -> int:
     if args.grid is not None and (args.lam != "auto" or method != "cd_sboost"):
         raise ValidationError("--grid applies only to cd-sboost with --lambda auto")
     bundles, groups, model = _load_problem(args)
+    if model == "aft":
+        bundles = [survival_sorted(b) for b in bundles]
     config = _boost_config(args, method, model)
     lam = config.lam
     if args.lam == "auto" and method == "cd_sboost":

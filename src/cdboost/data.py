@@ -21,9 +21,13 @@ A bundle owns its arrays.  The CSV reader puts the covariate cells of
 each row into one float64 table and collects ``y`` and ``delta`` apart;
 ``X`` is a view of that table, standardized in place, which no other
 object holds.  Dropping a bundle frees all that was loaded.  Column means,
-standard deviations and norms are taken one block of columns at a time
-(``_by_column_blocks``), with the bits of numpy's whole-array reductions,
-so no stage holds a second n x p array.
+standard deviations and norms are taken a block of columns at a time
+(``_by_column_blocks``, 32 KiB blocks unless two columns take more), with
+the bits of numpy's whole-array reductions, and finiteness is read off an
+array's minimum and maximum (``_all_finite``), so no stage holds a second
+n x p array or an n x p mask.  The CLI and the benchmark put survival rows
+in the order the loss takes them in (``losses.survival_sorted``) once, as
+the data is loaded or simulated, so no fit copies them again.
 
 ``_run_in_order`` is the one place where independent jobs (grid values,
 benchmark replicates, stability splits) fan out to worker processes.
@@ -57,6 +61,13 @@ class ValidationError(ValueError):
 
 class NumericError(RuntimeError):
     """Numeric failure: degenerate fits, failed calibration, bad splits."""
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` of a float array without an ``a``-sized mask:
+    a NaN propagates through ``min`` and ``max``, and an infinity is one of
+    them.  An empty array is finite."""
+    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,7 @@ class DatasetBundle:
             )
         if X.shape[0] < 2:
             raise ValidationError(f"dataset {self.id}: needs at least 2 rows")
-        if not np.isfinite(X).all() or not np.isfinite(y).all():
+        if not (_all_finite(X) and _all_finite(y)):
             raise ValidationError(f"dataset {self.id}: non-finite values")
         if self.delta is not None:
             d = np.asarray(self.delta, dtype=int)
@@ -256,7 +267,7 @@ def validate(bundles, groups: GroupStructure, model: str = "lr") -> None:
             raise ValidationError(f"dataset {b.id}: p={b.p}, expected {p}")
         if b.n < 2:
             raise ValidationError(f"dataset {b.id}: needs at least 2 observations")
-        if not np.isfinite(b.X).all() or not np.isfinite(b.y).all():
+        if not (_all_finite(b.X) and _all_finite(b.y)):
             raise ValidationError(f"dataset {b.id}: non-finite values")
         if (b.delta is not None) != has_delta:
             raise ValidationError("censoring indicators must be present for all datasets or none")
@@ -428,9 +439,9 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, l
     return X, y, None, names
 
 
-# Column blocks hold at most this many elements (128 KiB of float64), so a
+# Column blocks hold at most this many elements (32 KiB of float64), so a
 # reduction over the rows of an n x p array makes only bounded temporaries.
-_BLOCK_ELEMENTS = 1 << 14
+_BLOCK_ELEMENTS = 1 << 12
 
 
 def _by_column_blocks(reduce, X: np.ndarray) -> np.ndarray:
@@ -552,7 +563,7 @@ def write_dataset_csv(path, X: np.ndarray, y: np.ndarray, delta=None, names=None
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ValidationError(f"{path}: X of shape {X.shape} and y of shape {y.shape} "
                               "are not n x p and n")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+    if not (_all_finite(X) and _all_finite(y)):
         raise ValidationError(f"{path}: X and y must be finite")
     if delta is not None:
         delta = np.asarray(delta)

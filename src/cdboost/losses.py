@@ -75,6 +75,24 @@ def survival_order(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.lexsort((1 - delta, y))
 
 
+def survival_sorted(bundle: DatasetBundle) -> DatasetBundle:
+    """The bundle with its rows in ``survival_order``: the bundle itself when
+    they already are or it has no event indicators, else a sorted copy.
+
+    Sorting survival data once where it enters the program spares every
+    later ``build_context`` its sorted copy.  It changes no result: a
+    stable sort of sorted keys is the identity, so the context holds the
+    same rows in the same order either way.
+    """
+    if bundle.delta is None:
+        return bundle
+    order = survival_order(bundle.y, bundle.delta)
+    if (order == np.arange(bundle.n)).all():
+        return bundle
+    return DatasetBundle(X=bundle.X[order], y=bundle.y[order], delta=bundle.delta[order],
+                         id=bundle.id)
+
+
 def _col_norms(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i x_is^2 for each column s: the bits of
     ``(w[:, None] * X * X).sum(axis=0)``, one column block at a time."""
@@ -89,23 +107,22 @@ def _col_norms(X: np.ndarray, w: np.ndarray) -> np.ndarray:
 def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
     """Precompute weights and column norms for a list of validated bundles.
 
-    No n x p array is made beyond a survival-sorted ``X``: under LR the
-    context holds the bundle's own ``X``; under AFT it holds the rows
-    sorted by observed log-time, or, when they already are in that order,
-    the bundle's ``X`` itself (a copy only if it is not C-contiguous).
-    Column norms are summed one column block at a time.  A column norm or
-    a response energy ``w @ (y * y)`` that overflows raises ``NumericError``:
-    no increment or loss of such data would be finite.
+    Under LR the context holds each bundle's own ``X`` and ``y``; under AFT
+    it holds those of ``survival_sorted(bundle)``, so bundles already in
+    survival order (as the CLI and the benchmark pass them) are shared, not
+    copied; a copy is made only of rows out of that order or of an ``X``
+    that is not C-contiguous.  Column norms are summed one column block at
+    a time.  A column norm or a response energy ``w @ (y * y)`` that
+    overflows raises ``NumericError``: no increment or loss of such data
+    would be finite.
     """
     Xs, ys, ws, norms, n_events, pf = [], [], [], [], [], []
     for b in bundles:
         n = b.n
         if model == "aft":
-            order = survival_order(b.y, b.delta)
-            in_order = (order == np.arange(n)).all()
-            X = np.ascontiguousarray(b.X if in_order else b.X[order])
-            y = b.y[order]
-            w = km_weights(y, b.delta[order])
+            b = survival_sorted(b)
+            X, y = np.ascontiguousarray(b.X), b.y
+            w = km_weights(y, b.delta)
             n_events.append(int(b.delta.sum()))
         else:
             X, y = b.X, b.y

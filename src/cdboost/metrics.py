@@ -27,6 +27,7 @@ from .data import (
     adjacent_equal_pairs,
 )
 from .boosting import fit as run_fit, lockstep_path
+from .losses import survival_order, survival_sorted
 from .simulate import (
     P_SPLIT,
     GroundTruth,
@@ -277,6 +278,7 @@ def _benchmark_replicate(args):
     design, methods, replicate, config, tune, verify = args
     groups = design.groups()
     bundles, truth = simulate_replicate(design, replicate)
+    bundles = [survival_sorted(b) for b in bundles]
 
     # realized truth must reproduce the designed positive count
     n_f, n_p, _ = scenario_counts(design.K, design.rho_f, design.rho_p, design.rho_n)
@@ -363,7 +365,12 @@ def benchmark(
 
 
 def split_bundles(bundles, seed: int, split: int, train_frac: float = 0.75):
-    """Random per-dataset row split; sorted indices keep row order stable."""
+    """Random per-dataset row split.
+
+    Test rows keep the dataset's row order.  Training rows do too, except
+    that those of survival data come in ``survival_order``, the order every
+    AFT fit takes them in, so no fit on them sorts or copies them again.
+    """
     train, test = [], []
     for m, b in enumerate(bundles):
         rng = stream(seed, split, m + 1, P_SPLIT)
@@ -371,6 +378,8 @@ def split_bundles(bundles, seed: int, split: int, train_frac: float = 0.75):
         n_test = max(1, int(round(b.n * (1 - train_frac))))
         te = np.sort(perm[:n_test])
         tr = np.sort(perm[n_test:])
+        if b.delta is not None:
+            tr = tr[survival_order(b.y[tr], b.delta[tr])]
         train.append(DatasetBundle(
             X=b.X[tr], y=b.y[tr],
             delta=None if b.delta is None else b.delta[tr], id=b.id))

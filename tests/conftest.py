@@ -37,6 +37,14 @@ def pytest_report_header(config):
     return f"openblas: core {openblas_core()}, threads {_openblas('num_threads', ctypes.c_int)}"
 
 
+def fit_bytes(res):
+    """Every field of a FitResult, arrays as bytes: equal tuples are
+    bit-identical fits.  ``test_fit_result_bytes_pinned`` hashes its repr,
+    so the order of the fields is part of that pin."""
+    return (res.beta_hat.tobytes(), res.t_hat, res.partitions, res.final_partitions,
+            res.objective_trace.tobytes(), res.loss_trace.tobytes())
+
+
 def make_lr_bundles(rng, M=2, n=30, p=4, sparsity=2, scale=1.0):
     """Random standardized LR datasets with a shared sparse signal."""
     beta = np.zeros(p)

@@ -36,7 +36,14 @@ from cdboost.data import (
 )
 from cdboost.losses import build_context
 
-from conftest import make_lr_bundles, make_aft_bundles, pin_message, tiny_groups, traced_peak
+from conftest import (
+    fit_bytes,
+    make_aft_bundles,
+    make_lr_bundles,
+    pin_message,
+    tiny_groups,
+    traced_peak,
+)
 from oracles import (
     Candidate,
     PenaltySpec,
@@ -355,11 +362,6 @@ def _copy_of_dataset_0(seed=9, M=4, n=27, p=19, K=3):
     return bundles, tiny_groups(p, K)
 
 
-def _fit_bytes(res):
-    return (res.beta_hat.tobytes(), res.t_hat, res.partitions, res.final_partitions,
-            res.objective_trace.tobytes(), res.loss_trace.tobytes())
-
-
 _COPY_CONFIG = BoostConfig(T=30, lam=0.5, penalty_mode="ordered", nu=1.0)
 
 
@@ -374,7 +376,7 @@ def test_verify_partitions_accepts_classes_with_equal_blocks():
     (s12, A12, g12), = oracles.path_steps(path, 11)
     assert (s6, A6, s12, A12, g6) == (15, (3,), 15, (0,), g12)
     checked = cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
-    assert _fit_bytes(checked) == _fit_bytes(cd_sboost_fit(bundles, groups, _COPY_CONFIG))
+    assert fit_bytes(checked) == fit_bytes(cd_sboost_fit(bundles, groups, _COPY_CONFIG))
     assert all(len(cls) == 1 for cls in checked.final_partitions[2] if 0 in cls)
 
 
@@ -902,5 +904,5 @@ def test_fit_result_bytes_pinned(model, algorithm):
     config = BoostConfig(T=150, lam=0.2, nu=0.5, model=model, algorithm=algorithm)
     res = fit(bundles[:1] if algorithm == "sboost" else bundles, tiny_groups(24, 4), config)
     assert res.t_hat < config.T
-    digest = hashlib.sha256(repr(_fit_bytes(res)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(fit_bytes(res)).encode()).hexdigest()
     assert digest == _FIT_SHA256[model, algorithm], pin_message()

@@ -182,12 +182,43 @@ _FIT_SEED1_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("standardize", [True, False])
-@pytest.mark.parametrize("model", ["lr", "aft"])
-def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
-    """Pins the fit output for both loaded layouts: standardized in place,
-    and the raw parsed table that goes to BLAS under --no-standardize."""
-    data = reduced_seed1 / model
+# sha256 over the method, lambda, t_hat, support and classes of the same
+# runs, recorded under SkylakeX before survival data was sorted on entry;
+# every one is the same under Haswell and Zen
+_FIT_SEED1_SELECTIONS_SHA256 = {
+    ("lr", True): {
+        "cd-sboost": "9c4ff1e44d80d38d600c8ca87d07197509dfa9478af96e0a2bfc776a2471a56d",
+        "sep-sboost": "30c1b7c42e5f25704df67f3cf021c1c1f38fd52ab8f6bf78ed8da4d3b9a62c2b",
+        "pool-sboost": "629f93d9d8cf102e78cc5bc6800a2888db2f80a9cac74fc8f2f1eb2338089b57",
+        "int-sboost": "f636a1acd0575c95d0ef570651f50e945dd5d8ff1d92688cc957f4e9756abb07",
+        "cd-sboost --lambda 0.5": "ae5887a70a2f22abe288123864f40e4a9acdb4201d1f07420e0ac1a97b2425d7",
+    },
+    ("lr", False): {
+        "cd-sboost": "9c4ff1e44d80d38d600c8ca87d07197509dfa9478af96e0a2bfc776a2471a56d",
+        "sep-sboost": "30c1b7c42e5f25704df67f3cf021c1c1f38fd52ab8f6bf78ed8da4d3b9a62c2b",
+        "pool-sboost": "629f93d9d8cf102e78cc5bc6800a2888db2f80a9cac74fc8f2f1eb2338089b57",
+        "int-sboost": "f636a1acd0575c95d0ef570651f50e945dd5d8ff1d92688cc957f4e9756abb07",
+        "cd-sboost --lambda 0.5": "ae5887a70a2f22abe288123864f40e4a9acdb4201d1f07420e0ac1a97b2425d7",
+    },
+    ("aft", True): {
+        "cd-sboost": "d596236233af28b36f00c859adb0f7291beb5de27c512178d2e3c0436c68e276",
+        "sep-sboost": "abb5c91e7f44cd40e0c7a78ab54193aba40ddf10270519458dfd884455ad740d",
+        "pool-sboost": "b352746f3443127d5f73ab8289d524e0cd4188463bf92a0872125fb7db8dce99",
+        "int-sboost": "5e0c19b08fab110d0fa951bf24044dde087965716f00119a7c9a1aebfc52b2c9",
+        "cd-sboost --lambda 0.5": "661d94e2571208b47a6052b228ce46947aae84474f7eb0f6dff707836f6187e9",
+    },
+    ("aft", False): {
+        "cd-sboost": "d596236233af28b36f00c859adb0f7291beb5de27c512178d2e3c0436c68e276",
+        "sep-sboost": "abb5c91e7f44cd40e0c7a78ab54193aba40ddf10270519458dfd884455ad740d",
+        "pool-sboost": "b352746f3443127d5f73ab8289d524e0cd4188463bf92a0872125fb7db8dce99",
+        "int-sboost": "5e0c19b08fab110d0fa951bf24044dde087965716f00119a7c9a1aebfc52b2c9",
+        "cd-sboost --lambda 0.5": "661d94e2571208b47a6052b228ce46947aae84474f7eb0f6dff707836f6187e9",
+    },
+}
+
+
+def _fit_seed1(data, standardize) -> dict[str, bytes]:
+    """The `cdboost fit` JSON of each run of `_FIT_SEED1_SHA256` on `data`."""
     argv = ["fit", "--data", *(str(data / f"dataset_{m}.csv") for m in (1, 2, 3)),
             "--groups", str(data / "groups.tsv"), "--iters", "200"]
     if not standardize:
@@ -198,9 +229,38 @@ def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
                          ("cd-sboost --lambda 0.5", ["--lambda", "0.5"])):
         out = data / f"{label.replace(' ', '')}-{standardize}.json"
         assert main([*argv, "--method", label.split()[0], *flags, "--output", str(out)]) == 0
-        got[label] = hashlib.sha256(out.read_bytes()).hexdigest()
+        got[label] = out.read_bytes()
+    return got
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
+    """Pins the fit output for both loaded layouts: standardized in place,
+    and the raw parsed table that goes to BLAS under --no-standardize."""
+    got = {label: hashlib.sha256(out).hexdigest()
+           for label, out in _fit_seed1(reduced_seed1 / model, standardize).items()}
     capsys.readouterr()
     assert got == _FIT_SEED1_SHA256[model, standardize], pin_message()
+
+
+def _selections(fit_json: bytes) -> str:
+    payload = json.loads(fit_json)
+    record = (payload["method"], payload["lambda"], payload["t_hat"],
+              [(j, m) for j, m, _ in payload["coefficients"]],
+              [group["classes"] for group in payload["group_verdicts"]])
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_fit_selections_pinned(reduced_seed1, capsys, model, standardize):
+    """The selection-level twin of the fit byte pin: no coefficient value or
+    trace bit enters it, so it holds under more OpenBLAS cores."""
+    got = {label: _selections(out)
+           for label, out in _fit_seed1(reduced_seed1 / model, standardize).items()}
+    capsys.readouterr()
+    assert got == _FIT_SEED1_SELECTIONS_SHA256[model, standardize], pin_message()
 
 
 # sha256 of `cdboost fit --lambda 2 --iters 1000 --nu 0.5` JSON on

@@ -13,6 +13,7 @@ from cdboost.data import (
     NumericError,
     ParseError,
     ValidationError,
+    _all_finite,
     _by_column_blocks,
     _parse_float,
     _run_in_order,
@@ -49,6 +50,25 @@ def test_bundle_rejects_nan():
     X[2, 1] = np.nan
     with pytest.raises(ValidationError):
         DatasetBundle(X=X, y=np.zeros(5), delta=None, id=0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (1,), (7,), (4, 6)])
+def test_all_finite_matches_a_mask(rng, shape):
+    a = rng.standard_normal(shape) * 1e307
+    assert _all_finite(a) is True
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(a.size):
+            b = a.copy()
+            b.flat[i] = bad
+            assert _all_finite(b) is False
+
+
+def test_empty_arrays_pass_the_finiteness_checks(tmp_path):
+    b = DatasetBundle(X=np.zeros((2, 0)), y=np.zeros(2))
+    assert b.p == 0
+    path = tmp_path / "empty.csv"
+    write_dataset_csv(path, np.zeros((0, 2)), np.zeros(0))
+    assert path.read_bytes() == b"y,x1,x2\r\n"
 
 
 def test_group_structure_basics():

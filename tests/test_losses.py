@@ -3,10 +3,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from cdboost.data import CoefficientState, DatasetBundle, ValidationError, standardize_columns
-from cdboost.losses import _col_norms, build_context, km_weights
+from cdboost.boosting import cd_sboost_fit, fit
+from cdboost.data import (
+    ALGORITHMS,
+    BoostConfig,
+    CoefficientState,
+    DatasetBundle,
+    ValidationError,
+    standardize_columns,
+    validate,
+)
+from cdboost.losses import _col_norms, build_context, km_weights, survival_order, survival_sorted
+from cdboost.tuning import default_lambda_grid, hdbic, select_lambda
 
-from conftest import LAYOUTS, laid_out, make_aft_bundles, make_lr_bundles, tiny_groups, traced_peak
+from conftest import (
+    LAYOUTS,
+    fit_bytes,
+    laid_out,
+    make_aft_bundles,
+    make_lr_bundles,
+    tiny_groups,
+    traced_peak,
+)
 from oracles import (
     aft_loss,
     bracket_minimum,
@@ -103,9 +121,89 @@ def test_build_context_holds_no_n_by_p_array(rng):
     for model, bundle in problems.items():
         ctx, peak = traced_peak(build_context, [bundle], model)
         assert ctx.X[0] is bundle.X
-        # the column norms' blocks only, no n x p temporary
-        assert peak < 0.25 * X.nbytes, model
+        # the column norms' 32 KiB blocks only, no n x p temporary
+        assert peak < 0.1 * X.nbytes, model
         assert ctx.col_norms[0].tobytes() == oracles.col_norms_whole(X, ctx.weights[0]).tobytes()
+
+
+def _tied_aft_bundles():
+    """Three AFT datasets of 40 rows and 12 covariates whose log-times are
+    rounded to halves, so equal (y, delta) keys occur inside each dataset
+    and across datasets; rows are in the order they were drawn."""
+    rng = np.random.default_rng(31)
+    beta = np.zeros(12)
+    beta[[0, 5]] = 1.0
+    out = []
+    for m in range(3):
+        X = standardize_columns(rng.standard_normal((40, 12)))
+        y = np.round(2 * (X @ beta + rng.standard_normal(40))) / 2
+        delta = (rng.random(40) < 0.7).astype(int)
+        out.append(DatasetBundle(X=X, y=y, delta=delta, id=m))
+    return out
+
+
+def test_survival_sorted_keeps_ties_in_row_order():
+    bundles = _tied_aft_bundles()
+    keys = [list(zip(b.y.tolist(), b.delta.tolist())) for b in bundles]
+    assert all(len(set(k)) < len(k) for k in keys)          # ties inside each dataset
+    assert set(keys[0]) & set(keys[1]) & set(keys[2])       # and across datasets
+    for b in bundles:
+        s = survival_sorted(b)
+        assert s is not b and survival_sorted(s) is s
+        order = survival_order(b.y, b.delta)
+        assert s.X.tobytes() == b.X[order].tobytes()
+        assert s.y.tobytes() == b.y[order].tobytes()
+        assert s.delta.tolist() == b.delta[order].tolist()
+    lr = DatasetBundle(X=bundles[0].X, y=bundles[0].y)
+    assert survival_sorted(lr) is lr
+
+
+def test_fits_equal_on_file_order_and_survival_order():
+    """Bundles in file order or in survival order give the same bits: every
+    fitter's FitResult, its HDBIC score, and the lambda grid search.  Tied
+    keys keep their row order, inside a dataset and in the pooled rows."""
+    in_file = _tied_aft_bundles()
+    in_order = [survival_sorted(b) for b in in_file]
+    groups = tiny_groups(12, 4)
+    for algorithm in ALGORITHMS:
+        config = BoostConfig(T=60, lam=0.3, nu=0.5, model="aft", algorithm=algorithm)
+        rows = slice(1) if algorithm == "sboost" else slice(None)
+        res = fit(in_file[rows], groups, config)
+        assert fit_bytes(fit(in_order[rows], groups, config)) == fit_bytes(res), algorithm
+        assert hdbic(res, in_order[rows]).hex() == hdbic(res, in_file[rows]).hex(), algorithm
+    config = BoostConfig(T=60, nu=0.5, model="aft")
+    searches = []
+    for bundles in (in_file, in_order):
+        grid = default_lambda_grid(bundles)
+        lam, res = select_lambda(bundles, groups, config, grid=grid)
+        searches.append((lam, fit_bytes(res), [s.hex() for s in grid.scores],
+                         [fit_bytes(f) for f in grid.fits]))
+    assert searches[0] == searches[1]
+
+
+def test_survival_ordered_data_is_not_copied():
+    """On bundles in survival order the loss context shares each bundle's
+    ``X``; a cd fit and its HDBIC score allocate less than one copy of the
+    data (on the same rows in file order they copy it); and neither a
+    ``DatasetBundle`` nor ``validate`` makes an n x p finiteness mask."""
+    in_file = make_aft_bundles(np.random.default_rng(5), M=3, n=100, p=400)
+    in_order = [survival_sorted(b) for b in in_file]
+    data_bytes = sum(b.X.nbytes for b in in_order)
+    ctx = build_context(in_order, "aft")
+    assert all(np.shares_memory(X, b.X) for X, b in zip(ctx.X, in_order))
+    groups = tiny_groups(400, 8)
+    config = BoostConfig(T=50, lam=0.5, model="aft")
+
+    def fit_and_score(bundles):
+        return hdbic(cd_sboost_fit(bundles, groups, config), bundles)
+
+    _, peak = traced_peak(fit_and_score, in_order)
+    assert peak < data_bytes
+    assert traced_peak(fit_and_score, in_file)[1] > data_bytes
+    b = in_order[0]
+    mask_bytes = b.X.size  # one byte per entry of a boolean mask
+    assert traced_peak(DatasetBundle, X=b.X, y=b.y, delta=b.delta)[1] < mask_bytes / 4
+    assert traced_peak(validate, in_order, groups, "aft")[1] < mask_bytes / 4
 
 
 @settings(max_examples=150, deadline=None)

@@ -300,6 +300,34 @@ def test_split_bundles_partition_rows(rng):
     assert not np.array_equal(train[0].y, other_tr[0].y)
 
 
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_split_bundles_training_rows_in_survival_order(rng, model):
+    """Column 0 numbers the rows.  Test rows keep the file order; training
+    rows of survival data come sorted by log-time, events first, tied keys
+    in file order, and the two still partition each dataset's rows."""
+    bundles = []
+    for m in range(2):
+        X = rng.standard_normal((40, 3))
+        X[:, 0] = np.arange(40)
+        y = np.round(rng.standard_normal(40), 1)      # tied log-times
+        delta = rng.integers(0, 2, 40) if model == "aft" else None
+        bundles.append(DatasetBundle(X=X, y=y, delta=delta, id=m))
+    train, test = split_bundles(bundles, seed=4, split=0)
+    for b, tr, te in zip(bundles, train, test):
+        rows_tr, rows_te = tr.X[:, 0].astype(int), te.X[:, 0].astype(int)
+        assert sorted([*rows_tr, *rows_te]) == list(range(b.n))
+        assert rows_te.tolist() == sorted(rows_te)
+        for part, rows in ((tr, rows_tr), (te, rows_te)):
+            assert part.X.tobytes() == b.X[rows].tobytes()
+            assert part.y.tobytes() == b.y[rows].tobytes()
+        if model == "lr":
+            assert rows_tr.tolist() == sorted(rows_tr)
+        else:
+            keys = list(zip(tr.y.tolist(), (1 - tr.delta).tolist(), rows_tr.tolist()))
+            assert keys == sorted(keys)
+            assert tr.delta.tolist() == b.delta[rows_tr].tolist()
+
+
 # ---------------------------------------------------------------------------
 # benchmark harness
 # ---------------------------------------------------------------------------

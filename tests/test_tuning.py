@@ -20,7 +20,7 @@ from cdboost.simulate import SimDesign, simulate_replicate
 from cdboost.tuning import LambdaGrid, default_lambda_grid, hdbic, select_lambda
 
 from oracles import hdbic_direct
-from conftest import make_aft_bundles, make_lr_bundles, tiny_groups
+from conftest import fit_bytes, make_aft_bundles, make_lr_bundles, tiny_groups
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,6 @@ def _fresh_grid(bundles, groups, config, values, verify_partitions=False):
     return out
 
 
-def _fit_bytes(fit):
-    return (fit.beta_hat.tobytes(), fit.objective_trace.tobytes(),
-            fit.loss_trace.tobytes(), fit.t_hat, fit.partitions, fit.final_partitions)
-
-
 def _score_bytes(scores):
     return np.array(scores, dtype=float).tobytes()
 
@@ -185,7 +180,7 @@ def test_select_lambda_workers_agree(lr_problem):
     assert lam1 == lam2
     assert np.array_equal(fit1.beta_hat, fit2.beta_hat)
     assert _score_bytes(grid.scores) == _score_bytes(parallel.scores)
-    assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for f in parallel.fits]
+    assert [fit_bytes(f) for f in grid.fits] == [fit_bytes(f) for f in parallel.fits]
 
 
 def test_select_lambda_rewards_commonality():
@@ -231,10 +226,10 @@ def test_select_lambda_reuse_is_bit_identical(M, mode, model, values, seed):
     lam, fit = select_lambda(bundles, groups, config, grid=grid, verify_partitions=True)
     fresh = _fresh_grid(bundles, groups, config, grid.values, verify_partitions=True)
     assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
-    assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for _, f in fresh]
+    assert [fit_bytes(f) for f in grid.fits] == [fit_bytes(f) for _, f in fresh]
     best = min(range(len(fresh)), key=lambda i: (fresh[i][0], i))
     assert lam == grid.values[best]
-    assert _fit_bytes(fit) == _fit_bytes(fresh[best][1])
+    assert fit_bytes(fit) == fit_bytes(fresh[best][1])
     # every value after the first split-free one shares its fit object
     first = next((i for i, (_, f) in enumerate(fresh) if _split_free(f, M, 3)), None)
     if first is not None:
@@ -285,4 +280,4 @@ def test_parallel_search_fits_at_most_workers_minus_one_extra(lr_problem, monkey
     select_lambda(bundles, groups, config, grid=grid, workers=workers)
     assert first + 1 <= len(list(tmp_path.iterdir())) <= first + 1 + workers - 1
     assert _score_bytes(grid.scores) == _score_bytes(serial.scores)
-    assert [_fit_bytes(f) for f in grid.fits] == [_fit_bytes(f) for f in serial.fits]
+    assert [fit_bytes(f) for f in grid.fits] == [fit_bytes(f) for f in serial.fits]
