@@ -112,9 +112,15 @@ class _SubsetTasks:
     that of A's first member (``first``) times A's summed penalty factors
     (``pf_sum``); no (subset, covariate, dataset) array is needed.  Rebuilt
     only when a class splits.
+
+    ``numA``, ``gamma``, ``dobj`` and ``zero`` are ``_path``'s per-iteration
+    (S, p) working set, written in place every iteration; ``gamma`` stays 0
+    where ``denA`` is.  They are views of ``work``, which the path's first
+    build allocates and every later build takes over: a split only removes
+    subsets, so S never grows.
     """
 
-    def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale):
+    def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale, work=None):
         classes = {c for row in labels for c in label_classes(row)}
         self.subsets = sorted(
             {A for c in classes for A in _nonempty_subsets(c)},
@@ -141,6 +147,12 @@ class _SubsetTasks:
         # inf where it is not
         self.pen_sp = np.where(valid, dsplit, np.inf)[:, assignment]
         self.any_pen = bool(self.pen_sp.any())
+        if work is None:
+            work = np.empty((3, *self.denA.shape)), np.empty(self.denA.shape, dtype=bool)
+        self.work = work
+        self.numA, self.gamma, self.dobj = work[0][:, :S]
+        self.zero = work[1][:S]
+        self.gamma[...] = 0.0
 
 
 class _Support:
@@ -207,6 +219,12 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     indices into ``coef``, and a split leaves the two halves holding
     different blocks.  Otherwise ``AssertionError`` names the first failing
     group.
+
+    The (S, p) tables of an iteration are written with ``out=`` into one
+    working set, which the first ``_SubsetTasks`` allocates and every
+    rebuild reuses: the same ops in the same order as on fresh arrays.  A
+    split drops the old subset tables and support before it builds the new
+    ones, so one of each is alive at a time.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
@@ -243,15 +261,15 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     rep = np.asarray(labels)[assignment].T * p + np.arange(p) if verify_partitions else None
 
     for t in range(T):
-        numA = tasks.ind @ numer                                    # (S, p)
+        numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
+        np.matmul(tasks.ind, numer, out=numA)                       # (S, p)
         if tasks.all_ok:
-            gamma = numA / tasks.denA
+            np.divide(numA, tasks.denA, out=gamma)
         else:
-            gamma = np.divide(numA, tasks.denA, out=np.zeros(numA.shape),
-                              where=tasks.denA > 0)
+            np.divide(numA, tasks.denA, out=gamma, where=tasks.denA > 0)
         # h - gamma*numA with h = ((0.5*gamma)*gamma)*denA: the bits of
-        # -gamma*numA + h, with no temporaries beyond dobj
-        dobj = 0.5 * gamma
+        # -gamma*numA + h, in the working set with no temporaries
+        np.multiply(0.5, gamma, out=dobj)
         dobj *= gamma
         dobj *= tasks.denA
         numA *= gamma
@@ -264,7 +282,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             dobj += tasks.pen_sp
         if np.count_nonzero(gamma) < gamma.size:
             # a zero increment changes no term: 0 for a candidate, else inf
-            zero = gamma == 0
+            np.equal(gamma, 0.0, out=zero)
             dobj[zero] = 0.0
             dobj[zero & np.isinf(tasks.pen_sp)] = np.inf
 
@@ -280,7 +298,10 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             split = _split(labels, k_hat, A_hat, g_hat)
             if split:
                 pen = penalty_of(labels)
-                tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
+                # one set of tables at a time: drop the old ones first
+                work = tasks.work
+                tasks = support = None
+                tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale, work)
             step = nu * g_hat
             support_moved = False
             for m in A_hat:
@@ -294,6 +315,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 np.dot(ctx.X[m].T, ctx.weights[m] * resid[m], out=numer[m])
                 cur_loss[m] = loss_of(m)
             if split or support_moved:
+                support = None      # drop the old tables first
                 support = _Support(tasks, coef)
             if verify_partitions:
                 if split:

@@ -104,30 +104,35 @@ def _col_norms(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _by_column_blocks(weighted_squares, X)
 
 
+def weighted_rows(bundle: DatasetBundle, model: str):
+    """``(X, y, w, n_events)``: the rows a dataset's loss is taken over, their
+    weights and its event count.
+
+    Under LR they are the bundle's own ``X`` and ``y``, weights 1/n and n
+    events.  Under AFT they are those of ``survival_sorted(bundle)``, ``X``
+    made C-contiguous, with Kaplan-Meier weights, so bundles already in
+    survival order (as the CLI and the benchmark pass them) are shared, not
+    copied; a copy is made only of rows out of that order or of an ``X``
+    that is not C-contiguous.
+    """
+    if model == "aft":
+        b = survival_sorted(bundle)
+        return np.ascontiguousarray(b.X), b.y, km_weights(b.y, b.delta), int(b.delta.sum())
+    n = bundle.n
+    return bundle.X, bundle.y, np.full(n, 1.0 / n), n
+
+
 def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
     """Precompute weights and column norms for a list of validated bundles.
 
-    Under LR the context holds each bundle's own ``X`` and ``y``; under AFT
-    it holds those of ``survival_sorted(bundle)``, so bundles already in
-    survival order (as the CLI and the benchmark pass them) are shared, not
-    copied; a copy is made only of rows out of that order or of an ``X``
-    that is not C-contiguous.  Column norms are summed one column block at
-    a time.  A column norm or a response energy ``w @ (y * y)`` that
-    overflows raises ``NumericError``: no increment or loss of such data
-    would be finite.
+    The context holds each bundle's ``weighted_rows``.  Column norms are
+    summed one column block at a time.  A column norm or a response energy
+    ``w @ (y * y)`` that overflows raises ``NumericError``: no increment or
+    loss of such data would be finite.
     """
     Xs, ys, ws, norms, n_events, pf = [], [], [], [], [], []
     for b in bundles:
-        n = b.n
-        if model == "aft":
-            b = survival_sorted(b)
-            X, y = np.ascontiguousarray(b.X), b.y
-            w = km_weights(y, b.delta)
-            n_events.append(int(b.delta.sum()))
-        else:
-            X, y = b.X, b.y
-            w = np.full(n, 1.0 / n)
-            n_events.append(n)
+        X, y, w, events = weighted_rows(b, model)
         with np.errstate(over="ignore", invalid="ignore"):
             cn = _col_norms(X, w)
             energy = float(w @ (y * y))
@@ -145,6 +150,7 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
         ys.append(y)
         ws.append(w)
         norms.append(cn)
-        pf.append(np.log(n) / n)
+        n_events.append(events)
+        pf.append(np.log(b.n) / b.n)
     return LossContext(X=Xs, y=ys, weights=ws, col_norms=norms,
                        n_events=n_events, penalty_factor=pf)

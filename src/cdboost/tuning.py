@@ -23,7 +23,9 @@ from .data import (
     _run_in_order,
     all_common_partition,
 )
-from .losses import build_context
+# ``build_context`` is no longer called here; it stays a name of this module
+# because perfbench's span tracer wraps ``tuning.build_context``
+from .losses import build_context, weighted_rows  # noqa: F401
 
 RSS_FLOOR = 1e-12
 
@@ -33,29 +35,31 @@ def hdbic(fit, bundles) -> float:
 
     ``fit`` may be a FitResult or a bare (p, M) coefficient array.  The
     model is taken from the bundles: presence of censoring indicators means
-    the weighted variant.  A zero residual sum of squares is floored at
-    1e-12 (with a warning) so the log stays finite.
+    the weighted variant.  Each dataset's rows and weights are its
+    ``weighted_rows``, those of the fit's loss context; no column norm is
+    computed.  A zero residual sum of squares is floored at 1e-12 (with a
+    warning) so the log stays finite.
     """
     beta = fit.beta_hat if isinstance(fit, FitResult) else np.asarray(fit, dtype=float)
     bundles = list(bundles)
     model = "aft" if bundles[0].delta is not None else "lr"
-    ctx = build_context(bundles, model)
-    if beta.shape != (ctx.p, ctx.M):
-        raise ValueError(f"coefficient shape {beta.shape} != {(ctx.p, ctx.M)}")
-    log_p = math.log(ctx.p)
+    p = bundles[0].p
+    if beta.shape != (p, len(bundles)):
+        raise ValueError(f"coefficient shape {beta.shape} != {(p, len(bundles))}")
+    log_p = math.log(p)
     total = 0.0
-    for m in range(ctx.M):
-        r = ctx.y[m] - ctx.X[m] @ beta[:, m]
+    for m, b in enumerate(bundles):
+        X, y, w, n_events = weighted_rows(b, model)
+        r = y - X @ beta[:, m]
         df = int(np.count_nonzero(beta[:, m]))
         if model == "aft":
-            n_eff = ctx.n_events[m]
-            rss = float(ctx.weights[m] @ (r * r))
+            rss = float(w @ (r * r))
             if rss < RSS_FLOOR:
                 warnings.warn(f"dataset {m}: weighted RSS floored at {RSS_FLOOR}")
                 rss = RSS_FLOOR
-            total += n_eff * math.log(rss) + df * log_p * math.log(n_eff)
+            total += n_events * math.log(rss) + df * log_p * math.log(n_events)
         else:
-            n = ctx.y[m].size
+            n = y.size
             rss = float(r @ r)
             if rss < RSS_FLOOR:
                 warnings.warn(f"dataset {m}: RSS floored at {RSS_FLOOR}")
@@ -66,11 +70,11 @@ def hdbic(fit, bundles) -> float:
 
 @dataclass
 class LambdaGrid:
-    """Candidate penalty weights, ascending, plus per-value search results."""
+    """Candidate penalty weights, ascending, plus each value's HDBIC score
+    once ``select_lambda`` has searched them."""
 
     values: tuple[float, ...]
     scores: list[float] = field(default_factory=list)
-    fits: list[FitResult] = field(default_factory=list)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -100,7 +104,7 @@ def _fit_and_score(args):
 
     cfg = replace(config, lam=lam, algorithm="cd_sboost")
     fit = cd_sboost_fit(bundles, groups, cfg, verify_partitions=verify_partitions)
-    return hdbic(fit, bundles), fit
+    return lam, hdbic(fit, bundles), fit
 
 
 def select_lambda(
@@ -114,46 +118,44 @@ def select_lambda(
     """Fit cd_sboost at every grid value; return the HDBIC minimizer.
 
     Ties (including duplicate grid values) resolve to the smaller lambda.
-    The grid object, when supplied, is filled with per-value scores and
-    fits.  Fits run in grid order on ``workers`` processes; the grid and
+    The grid object, when supplied, is filled with per-value scores.  The
+    search keeps the scores and the best (lambda, score, fit) so far, not
+    every fit: while a value is fitted it holds no other fit than the best
+    one.  Fits run in grid order on ``workers`` processes; the scores and
     the winner are identical for any worker count.  ``verify_partitions``
     goes to every ``cd_sboost_fit``.
 
     The search stops fitting at the first grid value whose cd path leaves
     every group's partition a single class through iteration T (with more
     than one worker, fits not yet handed to a worker are cancelled); each
-    later grid value reuses that (score, fit) pair, the same objects, so
-    ``grid.fits[j] is grid.fits[i]``.  This is exact.  Lambda enters the
-    path only through the split cost ``lam / normalizer * pairs`` added to
-    the objective of a proper class subset with a nonzero increment; that
-    rounded cost never falls as lambda rises, while the objective of a full
-    class or a zero increment does not depend on lambda.  Every winner of
-    a split-free path is of the second kind, so it stays the winner, tie
-    break included, at any larger lambda, and the penalty term of the trace
-    is lam * 0 / normalizer = 0.0 throughout.  Paths, traces, t_hat,
-    coefficients and scores are therefore bit-identical to a fresh fit.
+    later grid value reuses that value's score and fit, so it never beats
+    it.  This is exact.  Lambda enters the path only through the split cost
+    ``lam / normalizer * pairs`` added to the objective of a proper class
+    subset with a nonzero increment; that rounded cost never falls as
+    lambda rises, while the objective of a full class or a zero increment
+    does not depend on lambda.  Every winner of a split-free path is of the
+    second kind, so it stays the winner, tie break included, at any larger
+    lambda, and the penalty term of the trace is lam * 0 / normalizer = 0.0
+    throughout.  Paths, traces, t_hat, coefficients and scores are
+    therefore bit-identical to a fresh fit.
     """
     bundles = list(bundles)
     if grid is None:
         grid = default_lambda_grid(bundles)
     jobs = [(lam, bundles, groups, config, verify_partitions) for lam in grid.values]
     whole = [all_common_partition(len(bundles))] * groups.K
-    results = []
+    scores, best = [], None
     runs = _run_in_order(_fit_and_score, jobs, workers)
-    for result in runs:
-        results.append(result)
-        if result[1].final_partitions == whole:
+    for lam, score, fit in runs:
+        scores.append(score)
+        if math.isfinite(score) and (best is None or score < best[1]):
+            best = (lam, score, fit)
+        split_free = fit.final_partitions == whole
+        del fit  # while the next value is fitted, hold no fit but the best
+        if split_free:
             break
     runs.close()
-    results += [results[-1]] * (len(jobs) - len(results))
-    grid.scores = [score for score, _ in results]
-    grid.fits = [fit for _, fit in results]
-    best = None
-    for lam, (score, fit) in zip(grid.values, results):
-        if not math.isfinite(score):
-            continue
-        if best is None or score < best[1]:
-            best = (lam, score, fit)
+    grid.scores = scores + [scores[-1]] * (len(jobs) - len(scores))
     if best is None:
         raise NumericError("no finite HDBIC score on the lambda grid")
     return best[0], best[2]

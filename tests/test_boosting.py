@@ -819,6 +819,15 @@ _PATH_SWEEP_SHA256 = {
     ("aft", 4): "5d7c1494c6a5ec3da5774381bd98e431ae0d3c688d47179a9ca1270235b68dfa",
     ("aft", 5): "53727f6538d4636b207c769ecf7e526c1e8632a836cbeb722133aeee7da075a1",
     ("aft", 6): "eda37c36e014118e59c84eb8cfdbec58d5455b1ba5d2808033711efb22513d20",
+    # M = 8...10, where the subset sums ``ind @ numer`` need not equal
+    # member-order sums; recorded before the path wrote its (S, p) tables
+    # into preallocated buffers
+    ("lr", 8): "fd41e261cf5bed4247f0addac971baa19215f6fd182203e5498961f14a8b16ae",
+    ("lr", 9): "1611c524fb8e29a4a9b7a51ec4104e2491cc7b26c63515a9fd56c559aa6b0564",
+    ("lr", 10): "78976ab83aed1fd150889a2f32a3777afb4c81532e46ca864bb9170e4a95dfe4",
+    ("aft", 8): "c7b36aeb561be6898444f1b6df1a647d945e68e041f3a5b4a795bd916c0b6a5f",
+    ("aft", 9): "2ab5d4e492e7167fe473dd381951954bdd7839d7bc43b5eb11394e8681f9d1c0",
+    ("aft", 10): "a49c992ecccb81c7adef3c5dd9c293fbab9c633b592245e005797ae5e60a982a",
 }
 
 # sha256 over only the covariates stepped (``path.s``) and the final classes
@@ -839,7 +848,7 @@ _PATH_SWEEP_SELECTIONS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("M", range(1, 7))
+@pytest.mark.parametrize("M", [*range(1, 7), 8, 9, 10])
 @pytest.mark.parametrize("model", ["lr", "aft"])
 def test_path_sweep_bytes_pinned(model, M):
     """The pinned bytes, and every cd path run with ``verify_partitions``

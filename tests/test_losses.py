@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from cdboost import boosting
 from cdboost.boosting import cd_sboost_fit, fit
 from cdboost.data import (
     ALGORITHMS,
@@ -158,10 +159,11 @@ def test_survival_sorted_keeps_ties_in_row_order():
     assert survival_sorted(lr) is lr
 
 
-def test_fits_equal_on_file_order_and_survival_order():
+def test_fits_equal_on_file_order_and_survival_order(monkeypatch):
     """Bundles in file order or in survival order give the same bits: every
-    fitter's FitResult, its HDBIC score, and the lambda grid search.  Tied
-    keys keep their row order, inside a dataset and in the pooled rows."""
+    fitter's FitResult, its HDBIC score, and the lambda grid search with
+    every fit it makes.  Tied keys keep their row order, inside a dataset
+    and in the pooled rows."""
     in_file = _tied_aft_bundles()
     in_order = [survival_sorted(b) for b in in_file]
     groups = tiny_groups(12, 4)
@@ -172,12 +174,21 @@ def test_fits_equal_on_file_order_and_survival_order():
         assert fit_bytes(fit(in_order[rows], groups, config)) == fit_bytes(res), algorithm
         assert hdbic(res, in_order[rows]).hex() == hdbic(res, in_file[rows]).hex(), algorithm
     config = BoostConfig(T=60, nu=0.5, model="aft")
+    fitted = []
+
+    def recording(bundles, groups, config, **kwargs):
+        res = cd_sboost_fit(bundles, groups, config, **kwargs)
+        fitted.append(fit_bytes(res))
+        return res
+
+    monkeypatch.setattr(boosting, "cd_sboost_fit", recording)
     searches = []
     for bundles in (in_file, in_order):
         grid = default_lambda_grid(bundles)
         lam, res = select_lambda(bundles, groups, config, grid=grid)
-        searches.append((lam, fit_bytes(res), [s.hex() for s in grid.scores],
-                         [fit_bytes(f) for f in grid.fits]))
+        searches.append((lam, fit_bytes(res), [s.hex() for s in grid.scores], fitted[:]))
+        fitted.clear()
+    assert searches[0][3]
     assert searches[0] == searches[1]
 
 

@@ -20,7 +20,7 @@ from cdboost.simulate import SimDesign, simulate_replicate
 from cdboost.tuning import LambdaGrid, default_lambda_grid, hdbic, select_lambda
 
 from oracles import hdbic_direct
-from conftest import fit_bytes, make_aft_bundles, make_lr_bundles, tiny_groups
+from conftest import fit_bytes, make_aft_bundles, make_lr_bundles, tiny_groups, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +142,28 @@ def _split_free(fit, M, K):
     return fit.final_partitions == [all_common_partition(M)] * K
 
 
+def _count_fits(monkeypatch):
+    """Make every cd fit of a search append its lambda to the list returned."""
+    calls = []
+
+    def counting(bundles, groups, config, **kwargs):
+        calls.append(config.lam)
+        return cd_sboost_fit(bundles, groups, config, **kwargs)
+
+    monkeypatch.setattr(boosting, "cd_sboost_fit", counting)
+    return calls
+
+
+def _record_fits(monkeypatch, fitted):
+    """Make every cd fit of a search append (lambda, fit_bytes) to ``fitted``."""
+    def recording(bundles, groups, config, **kwargs):
+        res = cd_sboost_fit(bundles, groups, config, **kwargs)
+        fitted.append((config.lam, fit_bytes(res)))
+        return res
+
+    monkeypatch.setattr(boosting, "cd_sboost_fit", recording)
+
+
 def test_select_lambda_tie_takes_smaller(rng):
     # With one dataset the commonality penalty is identically zero, so every
     # grid value yields the same path and score; the tie must go to lam=0.
@@ -152,7 +174,7 @@ def test_select_lambda_tie_takes_smaller(rng):
     lam, result = select_lambda(bundles, groups, config, grid=grid)
     assert len(set(grid.scores)) == 1
     assert lam == 0.0
-    assert np.array_equal(result.beta_hat, grid.fits[0].beta_hat)
+    assert fit_bytes(result) == fit_bytes(_fresh_grid(bundles, groups, config, (0.0,))[0][1])
 
 
 def test_select_lambda_fills_grid(lr_problem):
@@ -160,27 +182,58 @@ def test_select_lambda_fills_grid(lr_problem):
     config = BoostConfig(T=40, algorithm="cd_sboost")
     grid = LambdaGrid(values=(0.0, 0.5, 2.0))
     lam, result = select_lambda(bundles, groups, config, grid=grid)
-    assert len(grid.scores) == len(grid.values) == len(grid.fits)
+    assert len(grid.scores) == len(grid.values)
+    assert not hasattr(grid, "fits")
     assert all(math.isfinite(s) for s in grid.scores)
     best = min(range(3), key=lambda i: (grid.scores[i], grid.values[i]))
     assert lam == grid.values[best]
-    assert np.array_equal(result.beta_hat, grid.fits[best].beta_hat)
+    fresh = _fresh_grid(bundles, groups, config, grid.values)
+    assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
+    assert fit_bytes(result) == fit_bytes(fresh[best][1])
 
 
-def test_select_lambda_workers_agree(lr_problem):
-    # both searches stop at the split-free fit at 1.0 and reuse it for 10.0
+def test_select_lambda_workers_agree(lr_problem, monkeypatch):
+    # both searches stop at the split-free fit at 1.0 and reuse its score
+    # for 10.0, whose fresh fit equals it byte for byte
     bundles, groups = lr_problem
     config = BoostConfig(T=25, algorithm="cd_sboost")
-    grid = LambdaGrid(values=(0.0, 1.0, 10.0))
+    values = (0.0, 1.0, 10.0)
+    fresh = _fresh_grid(bundles, groups, config, values)
+    assert _split_free(fresh[1][1], 3, groups.K)
+    assert fit_bytes(fresh[2][1]) == fit_bytes(fresh[1][1])
+    fitted = []
+    _record_fits(monkeypatch, fitted)
+    grid = LambdaGrid(values=values)
     lam1, fit1 = select_lambda(bundles, groups, config, grid=grid)
-    parallel = LambdaGrid(values=(0.0, 1.0, 10.0))
+    assert fitted == [(v, fit_bytes(f)) for v, (_, f) in zip(values[:2], fresh)]
+    parallel = LambdaGrid(values=values)
     lam2, fit2 = select_lambda(bundles, groups, config, grid=parallel, workers=2)
-    assert grid.fits[2] is grid.fits[1]
-    assert parallel.fits[2] is parallel.fits[1]
+    for scores in (grid.scores, parallel.scores):
+        assert _score_bytes(scores[2:]) == _score_bytes(scores[1:2])
     assert lam1 == lam2
-    assert np.array_equal(fit1.beta_hat, fit2.beta_hat)
+    assert fit_bytes(fit1) == fit_bytes(fit2)
     assert _score_bytes(grid.scores) == _score_bytes(parallel.scores)
-    assert [fit_bytes(f) for f in grid.fits] == [fit_bytes(f) for f in parallel.fits]
+    assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
+
+
+def test_select_lambda_holds_one_fit_besides_the_best(monkeypatch):
+    """On a grid on which every value splits a class, so that the search
+    fits them all, the traced peak of the search grows by less than one
+    FitResult when the grid grows from 2 to 8 values."""
+    rng = np.random.default_rng(3)
+    bundles = make_lr_bundles(rng, M=2, n=30, p=1500)
+    groups = tiny_groups(1500, 3)
+    config = BoostConfig(T=150, algorithm="cd_sboost")
+    values = tuple(1e-6 * i for i in range(8))
+    calls = _count_fits(monkeypatch)
+    peaks = {}
+    for size in (2, 8):
+        calls.clear()
+        (_, res), peaks[size] = traced_peak(select_lambda, bundles, groups, config,
+                                            grid=LambdaGrid(values=values[:size]))
+        assert calls == list(values[:size])
+    fit_size = res.beta_hat.nbytes + res.objective_trace.nbytes + res.loss_trace.nbytes
+    assert peaks[8] - peaks[2] < fit_size
 
 
 def test_select_lambda_rewards_commonality():
@@ -214,26 +267,32 @@ def test_select_lambda_rewards_commonality():
                        min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_select_lambda_reuse_is_bit_identical(M, mode, model, values, seed):
-    """Scores, fits and choice equal fitting every grid value from scratch,
-    byte for byte, with partitions verified and grids with duplicate
-    values."""
+    """Scores, the fits the search makes and its choice equal fitting every
+    grid value from scratch, byte for byte, with partitions verified and
+    grids with duplicate values; a fresh fit at any value after the first
+    split-free one equals the fit there."""
     rng = np.random.default_rng(seed)
     make = make_lr_bundles if model == "lr" else make_aft_bundles
     bundles = make(rng, M=M, n=int(rng.integers(12, 20)), p=6)
     groups = tiny_groups(6, 3)
     config = BoostConfig(T=15, algorithm="cd_sboost", model=model, penalty_mode=mode)
     grid = LambdaGrid(values=tuple(sorted(values)))
-    lam, fit = select_lambda(bundles, groups, config, grid=grid, verify_partitions=True)
+    fitted = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _record_fits(monkeypatch, fitted)
+        lam, fit = select_lambda(bundles, groups, config, grid=grid, verify_partitions=True)
     fresh = _fresh_grid(bundles, groups, config, grid.values, verify_partitions=True)
     assert _score_bytes(grid.scores) == _score_bytes([sc for sc, _ in fresh])
-    assert [fit_bytes(f) for f in grid.fits] == [fit_bytes(f) for _, f in fresh]
     best = min(range(len(fresh)), key=lambda i: (fresh[i][0], i))
     assert lam == grid.values[best]
     assert fit_bytes(fit) == fit_bytes(fresh[best][1])
-    # every value after the first split-free one shares its fit object
+    # the search fits up to the first split-free value, whose fit every
+    # later value's fresh fit equals
     first = next((i for i, (_, f) in enumerate(fresh) if _split_free(f, M, 3)), None)
+    stop = len(fresh) if first is None else first + 1
+    assert fitted == [(v, fit_bytes(f)) for v, (_, f) in zip(grid.values[:stop], fresh)]
     if first is not None:
-        assert all(f is grid.fits[first] for f in grid.fits[first:])
+        assert all(fit_bytes(f) == fit_bytes(fresh[first][1]) for _, f in fresh[first:])
 
 
 def test_select_lambda_stops_fitting_after_split_free_value(lr_problem, monkeypatch):
@@ -243,13 +302,7 @@ def test_select_lambda_stops_fitting_after_split_free_value(lr_problem, monkeypa
     fresh = _fresh_grid(bundles, groups, config, values)
     first = next(i for i, (_, f) in enumerate(fresh) if _split_free(f, 3, groups.K))
     assert 0 < first < len(values) - 1
-    calls = []
-
-    def counting(bundles, groups, config, **kwargs):
-        calls.append(config.lam)
-        return cd_sboost_fit(bundles, groups, config, **kwargs)
-
-    monkeypatch.setattr(boosting, "cd_sboost_fit", counting)
+    calls = _count_fits(monkeypatch)
     grid = LambdaGrid(values=values)
     select_lambda(bundles, groups, config, grid=grid)
     assert calls == list(values[:first + 1])
@@ -266,18 +319,25 @@ def test_parallel_search_fits_at_most_workers_minus_one_extra(lr_problem, monkey
     config = BoostConfig(T=40, algorithm="cd_sboost")
     values = (0.0, 0.05, 0.2, 0.5, 2.0, 10.0, 20.0, 50.0, 100.0)
     serial = LambdaGrid(values=values)
-    select_lambda(bundles, groups, config, grid=serial)
-    first = next(i for i, f in enumerate(serial.fits) if _split_free(f, 3, groups.K))
+    serial_pick = select_lambda(bundles, groups, config, grid=serial)
+    fresh = _fresh_grid(bundles, groups, config, values)
+    first = next(i for i, (_, f) in enumerate(fresh) if _split_free(f, 3, groups.K))
     assert first + 2 < len(values)
 
     def counting(bundles, groups, config, **kwargs):
-        (tmp_path / f"fit-{config.lam!r}").touch()
-        return cd_sboost_fit(bundles, groups, config, **kwargs)
+        res = cd_sboost_fit(bundles, groups, config, **kwargs)
+        (tmp_path / f"fit-{config.lam!r}").write_bytes(repr(fit_bytes(res)).encode())
+        return res
 
     monkeypatch.setattr(boosting, "cd_sboost_fit", counting)
     workers = 2
     grid = LambdaGrid(values=values)
-    select_lambda(bundles, groups, config, grid=grid, workers=workers)
+    lam, res = select_lambda(bundles, groups, config, grid=grid, workers=workers)
     assert first + 1 <= len(list(tmp_path.iterdir())) <= first + 1 + workers - 1
     assert _score_bytes(grid.scores) == _score_bytes(serial.scores)
-    assert [fit_bytes(f) for f in grid.fits] == [fit_bytes(f) for f in serial.fits]
+    assert (lam, fit_bytes(res)) == (serial_pick[0], fit_bytes(serial_pick[1]))
+    # every fit a worker made equals the fresh fit at its value
+    for v, (_, f) in zip(values, fresh):
+        path = tmp_path / f"fit-{v!r}"
+        if path.exists():
+            assert path.read_bytes() == repr(fit_bytes(f)).encode()
