@@ -98,67 +98,71 @@ def _nonempty_subsets(cls: tuple[int, ...]):
 
 
 class _SubsetTasks:
-    """Candidate subsets of the current classes, in vectorized form.
+    """Candidate subsets of the starting classes, in vectorized form.
 
-    A subset A is a candidate for covariate s when A lies inside one
-    equality class of s's group; splitting a proper superclass raises the
-    penalty by pen_scale times the number of newly differing pairs.  With M
-    datasets there are at most 2^M - 1 distinct subsets, ordered largest
-    first then lexicographic (the tie-break order).
+    The table holds every non-empty subset of a starting class, ordered
+    largest first then lexicographic (the tie-break order); with M datasets
+    there are at most 2^M - 1.  A subset A is a candidate for covariate s
+    when A lies inside one equality class of s's group.  Classes only split,
+    so a split never adds a subset: it only changes which rows are
+    candidates and what they cost, which ``price`` sets.  A row that lies
+    inside no class of any group stays in the table, all inf, and never
+    wins.
 
     Within-class invariant: datasets of one equality class hold identical
     coefficient blocks, so wherever A is a candidate for s, beta[s, m] is
     the same for every m in A.  The sparsity change of a candidate is then
     that of A's first member (``first``) times A's summed penalty factors
-    (``pf_sum``); no (subset, covariate, dataset) array is needed.  Rebuilt
-    only when a class splits.
+    (``pf_sum``); no (subset, covariate, dataset) array is needed.
 
     ``numA``, ``gamma``, ``dobj`` and ``zero`` are ``_path``'s per-iteration
-    (S, p) working set, written in place every iteration; ``gamma`` stays 0
-    where ``denA`` is.  They are views of ``work``, which the path's first
-    build allocates and every later build takes over: a split only removes
-    subsets, so S never grows.
+    (S, p) working set, written in place every iteration.  ``gamma`` starts
+    at 0 and stays 0 where ``denA`` is.
     """
 
-    def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale, work=None):
+    def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale):
         classes = {c for row in labels for c in label_classes(row)}
         self.subsets = sorted(
             {A for c in classes for A in _nonempty_subsets(c)},
             key=lambda A: (-len(A), A),
         )
-        labels = np.asarray(labels)                 # (K, M)
-        S, M = len(self.subsets), labels.shape[1]
+        S, M = len(self.subsets), len(labels[0])
         self.rows = np.arange(S)
         self.neg_len = -np.array([len(A) for A in self.subsets])
         self.ind = np.zeros((S, M))
         self.ind[np.repeat(self.rows, -self.neg_len),
                  list(itertools.chain.from_iterable(self.subsets))] = 1.0
         self.first = np.array([A[0] for A in self.subsets])
+        self.pf_sum = self.ind @ pf                 # (S,)
+        self.denA = self.ind @ col_norms            # (S, p)
+        self.all_ok = bool((self.denA > 0).all())
+        self.assignment, self.mode, self.pen_scale = assignment, mode, pen_scale
+        self.numA, self.gamma, self.dobj, self.pen_sp = np.zeros((4, *self.denA.shape))
+        self.zero = np.empty(self.denA.shape, dtype=bool)
+        self.price(labels)
+
+    def price(self, labels) -> None:
+        """Write into ``pen_sp`` the (S, p) split cost of each subset where it
+        is a candidate for the covariate, inf where it is not, for the
+        classes of ``labels``; ``any_pen`` tells whether it holds a nonzero."""
+        labels = np.asarray(labels)                 # (K, M)
         inA = self.ind[:, None, :] > 0              # (S, 1, M)
         # A is a candidate in group k when it lies inside one class there;
         # its split cost counts the pairs that relabelling A apart adds
         valid = ((labels == labels[:, self.first].T[:, :, None]) | ~inA).all(axis=2)
         split = np.where(inA, -1, labels)           # (S, K, M)
-        dsplit = pen_scale * np.where(valid, _unequal(split, mode) - _unequal(labels, mode), 0)
-        self.pf_sum = self.ind @ pf                 # (S,)
-        self.denA = self.ind @ col_norms            # (S, p)
-        self.all_ok = bool((self.denA > 0).all())
-        # (S, p): the split cost where A is a candidate for the covariate,
-        # inf where it is not
-        self.pen_sp = np.where(valid, dsplit, np.inf)[:, assignment]
+        dsplit = self.pen_scale * np.where(
+            valid, _unequal(split, self.mode) - _unequal(labels, self.mode), 0)
+        # ids in range: "clip" writes to ``out`` directly, "raise" via a buffer
+        np.take(np.where(valid, dsplit, np.inf), self.assignment, axis=1, out=self.pen_sp,
+                mode="clip")
         self.any_pen = bool(self.pen_sp.any())
-        if work is None:
-            work = np.empty((3, *self.denA.shape)), np.empty(self.denA.shape, dtype=bool)
-        self.work = work
-        self.numA, self.gamma, self.dobj = work[0][:, :S]
-        self.zero = work[1][:S]
-        self.gamma[...] = 0.0
 
 
 class _Support:
-    """Where the first member of each candidate subset holds a nonzero
-    coefficient; rebuilt when that pattern changes, as a coefficient enters
-    or leaves the support or a class splits.
+    """Where the first member of each subset holds a nonzero coefficient;
+    rebuilt when that pattern changes, as a coefficient enters or leaves the
+    support.  A split changes no subset, so it leaves this as it is.
 
     A nonzero increment adds a nonzero, at cost ``pf_sum``, where the
     coefficient is zero, and removes one only where it cancels the
@@ -220,17 +224,15 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     different blocks.  Otherwise ``AssertionError`` names the first failing
     group.
 
-    The (S, p) tables of an iteration are written with ``out=`` into one
-    working set, which the first ``_SubsetTasks`` allocates and every
-    rebuild reuses: the same ops in the same order as on fresh arrays.  A
-    split drops the old subset tables and support before it builds the new
-    ones, so one of each is alive at a time.
+    The subset table is built once, from the starting classes; a split
+    only re-prices it (``_SubsetTasks.price``).  The (S, p) tables of an
+    iteration are written with ``out=`` into its working set: the same ops
+    in the same order as on fresh arrays.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
     assignment = groups.assignment
     pf = np.asarray(ctx.penalty_factor)
-    col_norms = np.vstack(ctx.col_norms)
     normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
     pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
@@ -249,7 +251,8 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
     cur_loss = [loss_of(m) for m in range(M)]
 
-    tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale)
+    tasks = _SubsetTasks(labels, assignment, np.vstack(ctx.col_norms), pf, mode, pen_scale)
+    numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
     support = _Support(tasks, coef)
     s_steps = np.full((T, M), -1)
     g_steps = np.zeros((T, M))
@@ -261,7 +264,6 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     rep = np.asarray(labels)[assignment].T * p + np.arange(p) if verify_partitions else None
 
     for t in range(T):
-        numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
         np.matmul(tasks.ind, numer, out=numA)                       # (S, p)
         if tasks.all_ok:
             np.divide(numA, tasks.denA, out=gamma)
@@ -298,10 +300,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             split = _split(labels, k_hat, A_hat, g_hat)
             if split:
                 pen = penalty_of(labels)
-                # one set of tables at a time: drop the old ones first
-                work = tasks.work
-                tasks = support = None
-                tasks = _SubsetTasks(labels, assignment, col_norms, pf, mode, pen_scale, work)
+                tasks.price(labels)
             step = nu * g_hat
             support_moved = False
             for m in A_hat:
@@ -314,7 +313,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 resid[m] -= step * ctx.X[m][:, s_hat]
                 np.dot(ctx.X[m].T, ctx.weights[m] * resid[m], out=numer[m])
                 cur_loss[m] = loss_of(m)
-            if split or support_moved:
+            if support_moved:
                 support = None      # drop the old tables first
                 support = _Support(tasks, coef)
             if verify_partitions:

@@ -1,10 +1,12 @@
-"""Shared data model: dataset bundles, group structure, coefficient state.
+"""Shared data model: dataset bundles, group structure, fit configuration
+and results.
 
 All fitting algorithms operate on a list of ``DatasetBundle`` objects that
 share the same covariates (p columns in identical order) and a
 ``GroupStructure`` partitioning the covariates into K non-overlapping groups.
-A ``CoefficientState`` pairs a p x M coefficient matrix with the per-group
-partition of datasets into equality classes (the commonality bookkeeping).
+``CoefficientState`` (a p x M coefficient matrix with per-group equality
+classes) and ``partition_refresh`` serve no fitter: only
+``perfbench/checks.py`` and the tests use them.
 
 The boosting path tracks equality classes structurally, as one label row
 per group (entry m is the smallest dataset in m's class): datasets that
@@ -70,6 +72,21 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int array, not copied where it already is one;
+    ``ValidationError`` unless every value is a whole number, so that no
+    fraction is truncated away."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biu":
+        try:
+            a = a.astype(float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what}: expected whole numbers") from None
+        if not (_all_finite(a) and (a == np.trunc(a)).all()):
+            raise ValidationError(f"{what}: expected whole numbers")
+    return np.asarray(a, dtype=int)
+
+
 @dataclass(frozen=True)
 class DatasetBundle:
     """One dataset: covariates, response, optional censoring indicators.
@@ -108,7 +125,7 @@ class DatasetBundle:
         if not (_all_finite(X) and _all_finite(y)):
             raise ValidationError(f"dataset {self.id}: non-finite values")
         if self.delta is not None:
-            d = np.asarray(self.delta, dtype=int)
+            d = _integers(self.delta, f"dataset {self.id}: delta")
             object.__setattr__(self, "delta", d)
             if d.shape != y.shape:
                 raise ValidationError(f"dataset {self.id}: delta length mismatch")
@@ -135,7 +152,7 @@ class GroupStructure:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
+        a = _integers(self.assignment, "group ids")
         object.__setattr__(self, "assignment", a)
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("group assignment must be a non-empty 1-D array")
@@ -182,9 +199,10 @@ class BoostConfig:
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ValidationError(f"step size nu must be in (0, 1], got {self.nu}")
-        if int(self.T) < 1:
-            raise ValidationError(f"iteration cap T must be >= 1, got {self.T}")
-        object.__setattr__(self, "T", int(self.T))
+        T = _integers(self.T, "iteration cap T")
+        if T.ndim or T < 1:
+            raise ValidationError(f"iteration cap T must be an integer >= 1, got {self.T!r}")
+        object.__setattr__(self, "T", int(T))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.algorithm not in ALGORITHMS:
@@ -197,7 +215,8 @@ class BoostConfig:
 
 @dataclass
 class CoefficientState:
-    """p x M coefficient matrix plus per-group dataset equality classes."""
+    """p x M coefficient matrix plus per-group dataset equality classes; only
+    ``perfbench/checks.py`` and the tests use it."""
 
     beta: np.ndarray
     partitions: list[Partition]

@@ -364,8 +364,11 @@ def benchmark(
 # ---------------------------------------------------------------------------
 
 
-def split_bundles(bundles, seed: int, split: int, train_frac: float = 0.75):
-    """Random per-dataset row split.
+_TRAIN_FRAC = 0.75
+
+
+def split_bundles(bundles, seed: int, split: int):
+    """Random per-dataset row split, ``_TRAIN_FRAC`` of the rows for training.
 
     Test rows keep the dataset's row order.  Training rows do too, except
     that those of survival data come in ``survival_order``, the order every
@@ -375,7 +378,7 @@ def split_bundles(bundles, seed: int, split: int, train_frac: float = 0.75):
     for m, b in enumerate(bundles):
         rng = stream(seed, split, m + 1, P_SPLIT)
         perm = rng.permutation(b.n)
-        n_test = max(1, int(round(b.n * (1 - train_frac))))
+        n_test = max(1, int(round(b.n * (1 - _TRAIN_FRAC))))
         te = np.sort(perm[:n_test])
         tr = np.sort(perm[n_test:])
         if b.delta is not None:

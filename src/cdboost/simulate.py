@@ -270,8 +270,13 @@ def gen_covariates(design: SimDesign, replicate: int = 0, test: bool = False) ->
     return out
 
 
-def _calibrate_censoring(log_times: np.ndarray, target: float, tol: float = 0.02,
-                         max_steps: int = 60) -> float:
+# the censoring calibration stops within this much of the target fraction,
+# or fails after this many steps
+_CENSORING_TOL = 0.02
+_CENSORING_MAX_STEPS = 60
+
+
+def _calibrate_censoring(log_times: np.ndarray, target: float) -> float:
     """Upper bound c of the uniform censoring law, set by bisection.
 
     With censoring times U[0, c], the expected censored fraction given the
@@ -284,21 +289,22 @@ def _calibrate_censoring(log_times: np.ndarray, target: float, tol: float = 0.02
 
     steps = 0
     hi = float(T.max())
-    while rate(hi) > target and steps < max_steps:
+    while rate(hi) > target and steps < _CENSORING_MAX_STEPS:
         hi *= 2.0
         steps += 1
     lo = hi * 1e-12
-    while steps < max_steps:
+    while steps < _CENSORING_MAX_STEPS:
         mid = 0.5 * (lo + hi)
         r = rate(mid)
-        if abs(r - target) <= tol:
+        if abs(r - target) <= _CENSORING_TOL:
             return mid
         if r > target:
             lo = mid
         else:
             hi = mid
         steps += 1
-    raise CalibrationError(f"censoring calibration did not converge in {max_steps} steps")
+    raise CalibrationError(
+        f"censoring calibration did not converge in {_CENSORING_MAX_STEPS} steps")
 
 
 def gen_responses(design: SimDesign, truth: GroundTruth, X: list[np.ndarray],

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -472,6 +473,14 @@ def test_label_rows_match_partition_oracles(M, mode, data):
                 added = (oracles.unequal_pairs(oracles.split(pt, A), M, mode)
                          - oracles.unequal_pairs(pt, M, mode))
                 assert tasks.pen_sp[i, 2 * k] == pen_scale * added
+    # the table of the all-common start, re-priced for these classes, holds
+    # the same rows, and all inf where a subset lies inside no class
+    whole = _SubsetTasks([[0] * M] * K, assignment, np.ones((M, 2 * K)), np.ones(M), mode,
+                         pen_scale)
+    whole.price(labels)
+    rows = dict(zip(tasks.subsets, tasks.pen_sp))
+    for A, row in zip(whole.subsets, whole.pen_sp):
+        assert np.array_equal(row, rows[A]) if A in rows else np.isinf(row).all()
 
     k = data.draw(st.integers(0, K - 1))
     cls = data.draw(st.sampled_from(parts[k]))
@@ -528,8 +537,10 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
 @pytest.mark.parametrize("M", [2, 3, 4])
 def test_cd_path_matches_brute_force_unequal_n(M):
     """Selections equal the literal oracle's; increments and trace agree
-    to rounding. Unequal n gives unequal weights and penalty factors."""
-    for lam, mode in ((0.0, "all_pairs"), (0.6, "all_pairs"), (0.6, "ordered")):
+    to rounding. Unequal n gives unequal weights and penalty factors.  With
+    one group, a split leaves subsets inside no class of any group."""
+    for K, (lam, mode) in itertools.product(
+            (2, 1), ((0.0, "all_pairs"), (0.6, "all_pairs"), (0.6, "ordered"))):
         rng = np.random.default_rng(100 + 10 * M + int(10 * lam) + (mode == "ordered"))
         bundles = []
         beta = np.zeros(5)
@@ -540,7 +551,7 @@ def test_cd_path_matches_brute_force_unequal_n(M):
             shift = 0.9 * (-1) ** m * X[:, 1]     # dataset-specific signal
             bundles.append(DatasetBundle(X=X, y=X @ beta + shift + rng.standard_normal(n),
                                          delta=None, id=m))
-        groups = tiny_groups(5, 2)
+        groups = tiny_groups(5, K)
         config = BoostConfig(T=12, lam=lam, penalty_mode=mode)
         ctx = build_context(bundles, "lr")
         path = _path(ctx, groups, config, verify_partitions=True)
@@ -875,6 +886,99 @@ def test_path_sweep_selections_pinned(model, M):
         digest.update(path.s.tobytes())
         digest.update(repr(path.partitions).encode())
     assert digest.hexdigest() == _PATH_SWEEP_SELECTIONS_SHA256[model, M], pin_message()
+
+
+def _split_sweep_paths(model, M):
+    """cd paths with ``verify_partitions``, T=120, lambda in {0, 0.3}, both
+    penalty modes, one and two groups, on M datasets of 30 rows and six
+    covariates, each dataset with a signal of its own on every covariate
+    (for aft about a quarter of the rows censored).  Their classes split in
+    every group, so some subsets come to lie inside no class of any group
+    and stay in the candidate table as rows that never win."""
+    rng = np.random.default_rng(2000 + M)
+    bundles = []
+    for m in range(M):
+        X = standardize_columns(rng.standard_normal((30, 6)))
+        y = X @ rng.uniform(-3.0, 3.0, 6) + 0.3 * rng.standard_normal(30)
+        delta = None if model == "lr" else (rng.random(30) < 0.75).astype(int)
+        bundles.append(DatasetBundle(X=X, y=y, delta=delta, id=m))
+    ctx = build_context(bundles, model)
+    for K in (1, 2):
+        for lam in (0.0, 0.3):
+            for mode in ("all_pairs", "ordered"):
+                config = BoostConfig(T=120, lam=lam, penalty_mode=mode, model=model)
+                path = _path(ctx, tiny_groups(6, K), config, verify_partitions=True)
+                assert any(not any(set(A) <= set(c) for part in path.partitions for c in part)
+                           for size in range(2, M + 1)
+                           for A in itertools.combinations(range(M), size))
+                yield path
+
+
+# sha256 over the paths of ``_split_sweep_paths``, recorded when every split
+# rebuilt the candidate table without the subsets it left inside no class,
+# under SkylakeX
+_SPLIT_SWEEP_SHA256 = {
+    ("lr", 2): "39c5339056fa836b28bbb1f29cd0e1f37128914b87b78c4d96bb0265b3c09bc4",
+    ("lr", 3): "548260934bf9ebc061f89ccc208c8a7ae90f223ae9a1f87eea4cb2bd794d8792",
+    ("lr", 4): "228a70aa997191e892a4c8160cab72b261fcef947836cb0cd6ea291d5b4036f2",
+    ("lr", 5): "ed0c86b140512c2e6b73370c6bde17b9eb3106d49bb41973d3c557ecdb447ccf",
+    ("lr", 6): "4fd51a60c60e67e257cfe98050e93c7abfd00410a8921dbda55e9530b51ea552",
+    ("lr", 8): "71171b329a7c913240e16cf2ab836d855c3a7b0e1d84b31fc0b103e8c0cf9dc1",
+    ("lr", 9): "158f8d0559d9767b0d40673e0354204cce2398d8ca2dc6c42f4babbd39b9bcaa",
+    ("lr", 10): "44d385bc0cfeb34f17418bbc05c7e7c60c5b55a2cef9a02cc30c9938b7cb3fbb",
+    ("aft", 2): "2496c4779c9cd0b2d90e01728220184f990be01165aa48c1163735ad15df4f87",
+    ("aft", 3): "f074ad13f2fab13978acb01886200ac88206f7d03bd9769a816e10ed60a28424",
+    ("aft", 4): "abda85bc7316eaf731a0dae33bd973324e87630fd3281b0b6014dd8f451d6663",
+    ("aft", 5): "08d979a636920dfebfe1b5c692ca394a98a0f27377080ec437c9748432b4f4d7",
+    ("aft", 6): "90af3b56c3dba5e6f5af572586e10542b8bcbf0df5de122153d28a729f4b06ce",
+    ("aft", 8): "784ec8e67705e21bbc1775eb37c0aacc88796d21f7638cad882da9caa0ada202",
+    ("aft", 9): "34dbee64a11757673e3a501ff3027a956b4f5169d16e1ece02c6bdfd96e090d2",
+    ("aft", 10): "f3e4757a902dc55423fb8fb0cce9de9fa36644e0d8fa4c0a802c313770f75e05",
+}
+
+# sha256 over only the covariates stepped and the final classes of the same
+# paths, recorded under SkylakeX; the same under Haswell and Zen
+_SPLIT_SWEEP_SELECTIONS_SHA256 = {
+    ("lr", 2): "d61ab0d2185edb05eb0ac35dc000be371b16ee13199218ed8653cf617be223b6",
+    ("lr", 3): "1c6f4e15f80eff0fdf843056b09737aea7c9d2647720ff99ce4498a43d899f99",
+    ("lr", 4): "c24de6aad504e31ac6df3cd452f4c894f5a08231e4ff0776150ef87fc1920dcd",
+    ("lr", 5): "035a9aa1f0dc00e497de9ec0d45e0123c15134411493fdd73dd35c261a20dea2",
+    ("lr", 6): "f0c0f58c7aef8c4307ffa4eaa75143e08a7ad55868801798c5e44a332a9b5a9a",
+    ("lr", 8): "2fbce428295862741df85277fbe74db7f705a3c9c4824f0efb71a7ae5e6fd81f",
+    ("lr", 9): "657c4cfdb42991941a63969e85b0abc51497d9115978a0c99b3414c1628bc08b",
+    ("lr", 10): "c6a0f0e55eaf40db1fd8590d4fb07c5b247bab4853bd209b9f085f5921d30e94",
+    ("aft", 2): "55725b951dca977e23085f3acb994c6c515989f590a523e3187aadefad886e0a",
+    ("aft", 3): "531e33d82d1344a6a4412a3cbc3d09dec6d112bde626e3d85fe52f4becaa55c5",
+    ("aft", 4): "7c80ef9f291665d05866f336a14487141d428537fff30a258ec0e318afea9198",
+    ("aft", 5): "63804c6fac6fc6b17e92dfb31bbbfe93a24c8bfd3adb83f5b596818613651877",
+    ("aft", 6): "ae483a7d1487596306a3afc1af95b04ef4e4211c9bab9525fdbdb1f7b4b5907e",
+    ("aft", 8): "0da3d63e33a64e53b78967c57e5bc438a252c0061b6033a0ec971f43c399d3f5",
+    ("aft", 9): "9e70a3547de1126f20fda9e3a13cd71121d2ec07dcef298584e17d0f731456eb",
+    ("aft", 10): "f8157e8f919fbae9110e2c671039bd8a90eb832b21424bceebef06f8c1720fab",
+}
+
+
+@pytest.mark.parametrize("M", [*range(2, 7), 8, 9, 10])
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_split_sweep_bytes_pinned(model, M):
+    """Paths whose splits leave subsets inside no class of any group keep
+    their pinned bytes."""
+    digest = hashlib.sha256()
+    for path in _split_sweep_paths(model, M):
+        for b in _path_bytes(path):
+            digest.update(b)
+    assert digest.hexdigest() == _SPLIT_SWEEP_SHA256[model, M], pin_message()
+
+
+@pytest.mark.parametrize("M", [*range(2, 7), 8, 9, 10])
+@pytest.mark.parametrize("model", ["lr", "aft"])
+def test_split_sweep_selections_pinned(model, M):
+    """The selection-level twin of the split sweep byte pin."""
+    digest = hashlib.sha256()
+    for path in _split_sweep_paths(model, M):
+        digest.update(path.s.tobytes())
+        digest.update(repr(path.partitions).encode())
+    assert digest.hexdigest() == _SPLIT_SWEEP_SELECTIONS_SHA256[model, M], pin_message()
 
 
 def _pinned_fit_bundles(model):

@@ -89,6 +89,21 @@ def test_group_structure_rejects_negative_ids(assignment):
         GroupStructure(assignment=assignment)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DatasetBundle(X=np.eye(4), y=np.arange(4.0), delta=[0.6, 1, 1.9, 0]),
+    lambda: GroupStructure(assignment=[0.9, 1.2, 1.5]),
+    lambda: GroupStructure(assignment=[0, float("nan")]),
+    lambda: BoostConfig(T=2.7),
+    lambda: BoostConfig(T="x"),
+    lambda: BoostConfig(T=None),
+], ids=["delta", "assignment", "assignment-nan", "T-fraction", "T-text", "T-none"])
+def test_integer_inputs_refuse_fractions(make):
+    """An integer input that holds a fraction or no number at all is refused,
+    not truncated."""
+    with pytest.raises(ValidationError, match="expected whole numbers"):
+        make()
+
+
 def test_validate_consistent_problem(lr_problem):
     bundles, groups = lr_problem
     assert validate(bundles, groups, "lr") is None
