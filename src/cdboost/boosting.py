@@ -11,14 +11,14 @@ classes never merge.  The path holds each group's classes as one label row
 (entry m is the smallest dataset in m's class): ``_split`` is the split
 rule, and ``_unequal`` counts differing pairs, both for the penalty trace
 and, on every candidate's split-off row at once, for the split costs of
-``_SubsetTasks``.  Every fitter is a path plus a stop: its kind sets the
-path's starting classes and which candidates step, and its stopping rule
-picks each dataset's iteration, from which ``_stop`` replays the path and
-reads the classes off the coefficients by exact block comparison
-(``data.block_partitions``).  ``verify_partitions`` cross-checks the tracked
-classes against the coefficients after every step: one gather compares
-every coefficient with that of its class's labelling dataset, in every
-group at once.  The fitters:
+``_SubsetTasks``, which keeps every candidate's sparsity term in place.
+Every fitter is a path plus a stop: its kind sets the path's starting
+classes and which candidates step, and its stopping rule picks each
+dataset's iteration, from which ``_stop`` replays the path and reads the
+classes off the coefficients by exact block comparison
+(``data.block_partitions``).  ``verify_partitions`` checks the tracked
+classes after every step: one gather compares every coefficient with that
+of its class's labelling dataset, in every group at once.  The fitters:
 
 * ``cd_sboost_fit``   -- all datasets start in one class per group; each
   iteration the single best candidate steps; stops at the first argmin of
@@ -115,6 +115,10 @@ class _SubsetTasks:
     that of A's first member (``first``) times A's summed penalty factors
     (``pf_sum``); no (subset, covariate, dataset) array is needed.
 
+    The sparsity row ``pf_new`` (S, p) is ``pf_sum`` where A's first member
+    holds a zero coefficient, else 0, kept in place by ``move``; ``held``
+    indexes its zeros, where only an exact cancellation counts.
+
     ``numA``, ``gamma``, ``dobj`` and ``zero`` are ``_path``'s per-iteration
     (S, p) working set, written in place every iteration.  ``gamma`` starts
     at 0 and stays 0 where ``denA`` is.
@@ -139,6 +143,9 @@ class _SubsetTasks:
         self.assignment, self.mode, self.pen_scale = assignment, mode, pen_scale
         self.numA, self.gamma, self.dobj, self.pen_sp = np.zeros((4, *self.denA.shape))
         self.zero = np.empty(self.denA.shape, dtype=bool)
+        self.pf_new = np.repeat(self.pf_sum[:, None], self.denA.shape[1], axis=1)
+        self.lead = self.first == np.arange(M)[:, None]     # (M, S): rows m leads
+        self.hold(np.zeros((M, 0)))
         self.price(labels)
 
     def price(self, labels) -> None:
@@ -158,34 +165,29 @@ class _SubsetTasks:
                 mode="clip")
         self.any_pen = bool(self.pen_sp.any())
 
+    def move(self, m: int, s: int, nonzero: bool) -> None:
+        """Rewrite column s of the rows m leads, as m's coefficient of s turns nonzero or 0."""
+        rows = self.lead[m]
+        self.pf_new[rows, s] = 0.0 if nonzero else self.pf_sum[rows]
 
-class _Support:
-    """Where the first member of each subset holds a nonzero coefficient;
-    rebuilt when that pattern changes, as a coefficient enters or leaves the
-    support.  A split changes no subset, so it leaves this as it is.
+    def hold(self, coef: np.ndarray) -> None:
+        """Index the entries whose first member holds a nonzero in ``coef``,
+        and count each dataset's nonzeros: once per step that moved one."""
+        ms, cols = np.nonzero(coef)
+        i, rows = np.nonzero(self.lead[ms])
+        self.held = rows, cols[i], ms[i], -self.pf_sum[rows]
+        self.nnz = np.bincount(ms, minlength=len(coef))
 
-    A nonzero increment adds a nonzero, at cost ``pf_sum``, where the
-    coefficient is zero, and removes one only where it cancels the
-    coefficient exactly.  By the within-class invariant of ``_SubsetTasks``
-    that is the sparsity change of A, without an (S, p) gather per step.
-    """
-
-    def __init__(self, tasks: _SubsetTasks, coef: np.ndarray):
-        b0 = coef[tasks.first]                      # (S, p)
-        self.pf_new = np.where(b0 == 0, tasks.pf_sum[:, None], 0.0)
-        self.rows, self.cols = np.nonzero(b0)
-        self.firsts = tasks.first[self.rows]
-        self.pf_drop = -tasks.pf_sum[self.rows]
-
-    def add_change(self, dobj: np.ndarray, coef: np.ndarray, gamma: np.ndarray) -> None:
+    def add_sparsity(self, dobj: np.ndarray, coef: np.ndarray, gamma: np.ndarray) -> None:
         """Add to ``dobj`` the sparsity-term change of every nonzero increment
-        in ``gamma``; the entries of zero increments are left to the caller.
-        Exact wherever the subset is a candidate for the covariate."""
+        in ``gamma``, which is exact wherever the subset is a candidate for
+        the covariate; the entries of zero increments are left to the caller."""
         dobj += self.pf_new
-        if self.rows.size:
-            cancel = coef[self.firsts, self.cols] + gamma[self.rows, self.cols] == 0
+        rows, cols, firsts, pf_drop = self.held
+        if rows.size:
+            cancel = coef[firsts, cols] + gamma[rows, cols] == 0
             if cancel.any():
-                dobj[self.rows[cancel], self.cols[cancel]] += self.pf_drop[cancel]
+                dobj[rows[cancel], cols[cancel]] += pf_drop[cancel]
 
 
 class _Path(NamedTuple):
@@ -224,10 +226,10 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     different blocks.  Otherwise ``AssertionError`` names the first failing
     group.
 
-    The subset table is built once, from the starting classes; a split
-    only re-prices it (``_SubsetTasks.price``).  The (S, p) tables of an
-    iteration are written with ``out=`` into its working set: the same ops
-    in the same order as on fresh arrays.
+    The subset table is built once; a split only re-prices it (``price``),
+    a support move rewrites one column of its sparsity row (``move``, then
+    one ``hold`` per step).  The (S, p) tables are written with ``out=`` into
+    the working set: the same ops in the same order as on fresh arrays.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
@@ -246,14 +248,12 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
     pen = penalty_of(labels)
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
-    nnz = [0] * M                    # running nonzero count per dataset
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
     cur_loss = [loss_of(m) for m in range(M)]
 
     tasks = _SubsetTasks(labels, assignment, np.vstack(ctx.col_norms), pf, mode, pen_scale)
     numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
-    support = _Support(tasks, coef)
     s_steps = np.full((T, M), -1)
     g_steps = np.zeros((T, M))
     loss = np.empty((M, T))
@@ -279,7 +279,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         # the sparsity change and split cost of every nonzero increment, inf
         # for a non-candidate; dobj is finite and never -0.0 (a zero split
         # cost leaves it as it is)
-        support.add_change(dobj, coef, gamma)
+        tasks.add_sparsity(dobj, coef, gamma)
         if tasks.any_pen:
             dobj += tasks.pen_sp
         if np.count_nonzero(gamma) < gamma.size:
@@ -302,20 +302,19 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                 pen = penalty_of(labels)
                 tasks.price(labels)
             step = nu * g_hat
-            support_moved = False
+            moved = False
             for m in A_hat:
                 s_steps[t, m], g_steps[t, m] = s_hat, g_hat
                 old = float(coef[m, s_hat])
                 coef[m, s_hat] = new = old + step
                 if (new != 0.0) != (old != 0.0):
-                    nnz[m] += 1 if new != 0.0 else -1
-                    support_moved = True
+                    tasks.move(m, s_hat, new != 0.0)
+                    moved = True
                 resid[m] -= step * ctx.X[m][:, s_hat]
                 np.dot(ctx.X[m].T, ctx.weights[m] * resid[m], out=numer[m])
                 cur_loss[m] = loss_of(m)
-            if support_moved:
-                support = None      # drop the old tables first
-                support = _Support(tasks, coef)
+            if moved:
+                tasks.hold(coef)
             if verify_partitions:
                 if split:
                     cols = groups.indices(k_hat)
@@ -333,7 +332,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
                     )
 
         loss[:, t] = cur_loss
-        sparsity[:, t] = nnz
+        sparsity[:, t] = tasks.nnz
         penalty[t] = pen
     sparsity *= pf[:, None]
     return _Path(s_steps, g_steps, loss, sparsity, penalty,

@@ -141,7 +141,9 @@ def _config_value(action: argparse.Action, raw: str, where: str):
 
 
 def _merge_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser):
-    """Apply config-file values for options not given on the command line.
+    """Apply config-file values for options not given on the command line,
+    and set ``args.given`` to the destinations of the options given on the
+    command line or in the config file.
 
     ``parser`` is the subcommand's parser.  The options given are those
     whose action argparse ran: the subcommand's arguments are parsed again
@@ -151,22 +153,22 @@ def _merge_config(args: argparse.Namespace, argv: list[str], parser: argparse.Ar
     with its option's declared type and checked against its choices, as
     argparse would for the flag.
     """
-    if not getattr(args, "config", None):
-        return
-    overrides = _read_config_file(args.config)
     # argparse keeps the subcommand's option actions only in this attribute
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and a.dest not in ("help", "config")}
     unset = object()
     probe = argparse.Namespace(**{dest: unset for dest in actions})
     parser.parse_args(argv[argv.index(args.command) + 1:], namespace=probe)
-    on_cli = {dest for dest in actions if getattr(probe, dest) is not unset}
-    for key, raw in overrides.items():
-        if key in on_cli:
+    args.given = {dest for dest in actions if getattr(probe, dest) is not unset}
+    if not getattr(args, "config", None):
+        return
+    for key, raw in _read_config_file(args.config).items():
+        if key in args.given:
             continue
         if key not in actions:
             raise ValidationError(f"{args.config}: unknown config key {key!r}")
         setattr(args, key, _config_value(actions[key], raw, args.config))
+        args.given.add(key)
 
 
 def _parse_rho(text: str) -> tuple[float, float, float]:
@@ -290,6 +292,12 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     scenarios = None
     if args.preset == "small-example":
+        fixed = [dest for dest in ("rho", "design", "scheme", "sigma2", "n", "p", "k")
+                 if dest in args.given]
+        if fixed:
+            raise ValidationError(
+                f"{', '.join('--' + dest for dest in fixed)}: the small-example preset "
+                f"has a fixed design")
         design = small_example_design(args.seed, args.model)
         scenarios = SMALL_EXAMPLE_SCENARIOS
     else:

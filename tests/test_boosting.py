@@ -15,7 +15,6 @@ from cdboost.boosting import (
     _path,
     _split,
     _SubsetTasks,
-    _Support,
     _unequal,
     cd_sboost_fit,
     fit,
@@ -202,6 +201,28 @@ def test_loss_monotone_aft(aft_problem):
     for fitter in (sep_sboost_fit, int_sboost_fit, pool_sboost_fit, cd_sboost_fit):
         res = fitter(bundles, groups, cfg)
         assert (np.diff(res.loss_trace) <= 1e-12).all(), fitter.__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["lr", "aft"]), M=st.integers(1, 4),
+       mode=st.sampled_from(["all_pairs", "ordered"]), lam=st.sampled_from([0.0, 0.05, 50.0]),
+       nu=st.sampled_from([0.1, 0.5, 1.0]), lockstep=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_trace_rises_only_where_a_nonzero_enters_or_a_class_splits(model, M, mode, lam, nu,
+                                                                    lockstep, seed):
+    """Each step lowers the summed loss (by gamma^2 den_A nu (1 - nu/2)
+    for nu in (0, 1]), the sparsity term moves only with a nonzero count
+    and the penalty only at a split.  So the summed objective trace rises,
+    beyond a relative 1e-12, only at an iteration where some dataset's
+    sparsity term grows or the penalty grows."""
+    make = make_lr_bundles if model == "lr" else make_aft_bundles
+    bundles = make(np.random.default_rng(seed), M=M, n=25, p=8)
+    config = BoostConfig(T=60, lam=lam, nu=nu, penalty_mode=mode, model=model)
+    path = _path(build_context(bundles, model), tiny_groups(8, 3), config, lockstep=lockstep)
+    trace = path.loss.sum(axis=0) + path.sparsity.sum(axis=0) + path.penalty
+    rises = np.flatnonzero(np.diff(trace) > 1e-12 * np.abs(trace[:-1])) + 1
+    grew = (np.diff(path.sparsity, axis=1) > 0).any(axis=0) | (np.diff(path.penalty) > 0)
+    assert grew[rises - 1].all(), rises[~grew[rises - 1]]
 
 
 # reduction identities --------------------------------------------------------
@@ -419,17 +440,16 @@ def test_verify_partitions_reports_a_stray_write_where_it_happens(monkeypatch):
     """A write to a coefficient of group 1 during a step on another group
     leaves a class of group 1 holding unequal blocks; the check names that
     iteration, as it checks every group after every step."""
-    real_support = boosting._Support
-    builds = []
+    real_hold = _SubsetTasks.hold
+    holds = []
 
-    class StraySupport(real_support):
-        def __init__(self, tasks, coef):
-            builds.append(None)
-            if len(builds) == 3:
-                coef[1, 3] += 1e-3
-            super().__init__(tasks, coef)
+    def stray_hold(tasks, coef):
+        holds.append(None)
+        if len(holds) == 3:
+            coef[1, 3] += 1e-3
+        real_hold(tasks, coef)
 
-    monkeypatch.setattr(boosting, "_Support", StraySupport)
+    monkeypatch.setattr(_SubsetTasks, "hold", stray_hold)
     bundles = make_lr_bundles(np.random.default_rng(3), M=3, n=30, p=9)
     with pytest.raises(AssertionError, match="iteration 4: tracked partition of group 1 "):
         cd_sboost_fit(bundles, tiny_groups(9, 3), BoostConfig(T=40, lam=0.5),
@@ -525,13 +545,31 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
     gamma = rng.choice(np.concatenate([-values, values]), size=(len(tasks.subsets), p))
 
     coef = beta.T.copy()
+    for m, s in zip(*np.nonzero(coef)):
+        tasks.move(m, s, True)
+    tasks.hold(coef)
     got = np.zeros(gamma.shape)
-    _Support(tasks, coef).add_change(got, coef, gamma)
+    tasks.add_sparsity(got, coef, gamma)
     tentative = beta[None, :, :] + gamma[:, :, None] * tasks.ind.astype(bool)[:, None, :]
     literal = ((tentative != 0).astype(float) - (beta != 0)) @ pf
     valid = ~np.isinf(tasks.pen_sp) & (gamma != 0)
     assert valid.any()
     assert np.array_equal(got[valid], literal[valid])
+
+
+def test_support_move_allocates_no_sparsity_table():
+    """A coefficient entering or leaving the support rewrites one column of
+    the sparsity row in place: over an M=8 path of many support moves the
+    traced peak stays less than one (S, p) float table above the working
+    set, six float tables (``numA``, ``gamma``, ``dobj``, ``pen_sp``,
+    ``denA``, ``pf_new``) and the bool mask ``zero``."""
+    M, p = 8, 400
+    ctx = build_context(make_lr_bundles(np.random.default_rng(8), M=M, n=40, p=p,
+                                        sparsity=6), "lr")
+    path, peak = traced_peak(_path, ctx, tiny_groups(p, 4), BoostConfig(T=200, lam=0.5))
+    assert np.count_nonzero(np.diff(path.sparsity, axis=1)) > 20
+    table = (2**M - 1) * p * 8
+    assert peak - table * (6 + 1 / 8) < table
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])
@@ -749,7 +787,7 @@ def test_reference_code_not_in_package():
     assert not hasattr(boosting, "PenaltySpec")
     for name in ("_unequal_pairs", "_split_delta", "_class_containing",
                  "_check_starting_classes", "_single_sboost_fit", "_replay",
-                 "_holds_blocks", "_columns"):
+                 "_holds_blocks", "_columns", "_Support"):
         assert not hasattr(boosting, name)
     assert not hasattr(boosting._Path, "steps")
     for name in ("split_class", "partition_meet", "singleton_partitions",

@@ -60,6 +60,25 @@ def test_simulate_byte_identical_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--rho", "nan,0.5,0.5"), ("--rho", "0.8,0.2,0"), ("--design", "S3"),
+    ("--scheme", "fixed"), ("--sigma2", "2"), ("--n", "1"), ("--p", "50"), ("--k", "2"),
+])
+def test_simulate_small_example_refuses_design_flags(tmp_path, capsys, flag, value):
+    """The small-example design is fixed: a design flag, even at its default
+    value, or the same key in a config file, exits 3 naming the flag and
+    writes nothing."""
+    out = tmp_path / "sim"
+    base = ["simulate", "--preset", "small-example", "--seed", "0", "--outdir", str(out)]
+    cfg = tmp_path / "design.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    for argv in ([*base, flag, value], [*base, "--config", str(cfg)]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 # sha256 of every file `cdboost simulate --preset reduced --seed 1` writes,
 # recorded with the cell-by-cell csv.writer writer (now
 # oracles.write_dataset_csv_cellwise) before data rows were joined directly,
@@ -275,9 +294,8 @@ _EARLY_STOP_SHA256 = {
 }
 
 
-def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
-    """Pins fits that stop before the iteration cap, so the replay up to
-    each stop, and sep's separate stops, are covered."""
+def _early_stop_fits(tmp_path) -> dict[str, bytes]:
+    """The `cdboost fit` JSON of each method of `_EARLY_STOP_SHA256`."""
     data = tmp_path / "sim"
     assert main(["simulate", "--preset", "reduced", "--n", "60", "--p", "80", "--k", "4",
                  "--seed", "2", "--outdir", str(data)]) == 0
@@ -288,10 +306,35 @@ def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
                      "--groups", str(data / "groups.tsv"), "--method", method,
                      "--lambda", "2", "--iters", "1000", "--nu", "0.5",
                      "--output", str(out)]) == 0
-        got[method] = (json.loads(out.read_text())["t_hat"],
-                       hashlib.sha256(out.read_bytes()).hexdigest())
+        got[method] = out.read_bytes()
+    return got
+
+
+def test_fit_early_stop_bytes_pinned(tmp_path, capsys):
+    """Pins fits that stop before the iteration cap, so the replay up to
+    each stop, and sep's separate stops, are covered."""
+    got = {method: (json.loads(out)["t_hat"], hashlib.sha256(out).hexdigest())
+           for method, out in _early_stop_fits(tmp_path).items()}
     capsys.readouterr()
     assert got == _EARLY_STOP_SHA256, pin_message()
+
+
+# ``_selections`` of the same runs, recorded under SkylakeX; each moves under
+# Haswell and Zen, through ``t_hat`` alone (cd stops at 169, pool at 235):
+# the trace is flat near its minimum
+_EARLY_STOP_SELECTIONS_SHA256 = {
+    "cd-sboost": "b157d37c0353d3d80b21ba8529130d4ede2556348b96407f43f32ae3fa9f3951",
+    "sep-sboost": "e498a3b169e412806655b6fff25e3523d9d8919fe8abc91c74b93a19c285e93d",
+    "int-sboost": "ae7c166fbd9308c2e1d502fc47532801265e84a7d06bf6433fe5ae0e813ecc2c",
+    "pool-sboost": "aac605c6458db8f9c1b9721cc82d13aa236f243f42eb60118743d6542e6ad511",
+}
+
+
+def test_fit_early_stop_selections_pinned(tmp_path, capsys):
+    """The selection-level twin of the early-stop byte pin."""
+    got = {method: _selections(out) for method, out in _early_stop_fits(tmp_path).items()}
+    capsys.readouterr()
+    assert got == _EARLY_STOP_SELECTIONS_SHA256, pin_message()
 
 
 # sha256 of `cdboost fit --lambda auto --iters 300` JSON (cd, and int, which
@@ -305,7 +348,8 @@ _CONSTANT_COLUMN_SHA256 = {
 }
 
 
-def test_fit_with_a_constant_column_bytes_pinned(tmp_path, capsys):
+def _constant_column_fits(tmp_path) -> dict[str, bytes]:
+    """The `cdboost fit` JSON of each method of `_CONSTANT_COLUMN_SHA256`."""
     paths, groups = _write_problem(tmp_path, np.random.default_rng(11), M=3, p=6)
     for path in paths:
         text = Path(path).read_text().splitlines()
@@ -319,9 +363,30 @@ def test_fit_with_a_constant_column_bytes_pinned(tmp_path, capsys):
         with pytest.warns(UserWarning, match="zero-norm"):
             assert main(["fit", "--data", *paths, "--groups", groups, "--method", method,
                          "--lambda", "auto", "--iters", "300", "--output", str(out)]) == 0
-        got[method] = hashlib.sha256(out.read_bytes()).hexdigest()
+        got[method] = out.read_bytes()
+    return got
+
+
+def test_fit_with_a_constant_column_bytes_pinned(tmp_path, capsys):
+    got = {method: hashlib.sha256(out).hexdigest()
+           for method, out in _constant_column_fits(tmp_path).items()}
     capsys.readouterr()
     assert got == _CONSTANT_COLUMN_SHA256, pin_message()
+
+
+# ``_selections`` of the same runs, recorded under SkylakeX; the same under
+# Haswell and Zen
+_CONSTANT_COLUMN_SELECTIONS_SHA256 = {
+    "cd-sboost": "ca0a6424f153ff2d59221377e1dc9d6a5b8c4cf0eeff853e6b2b5d5b631ead99",
+    "int-sboost": "b5da386502d3d4b9bbf7806cee4e4a551211b48b2545f403f10009f449b96d16",
+}
+
+
+def test_fit_with_a_constant_column_selections_pinned(tmp_path, capsys):
+    """The selection-level twin of the constant-column byte pin."""
+    got = {method: _selections(out) for method, out in _constant_column_fits(tmp_path).items()}
+    capsys.readouterr()
+    assert got == _CONSTANT_COLUMN_SELECTIONS_SHA256, pin_message()
 
 
 def test_simulate_design_flag_sets_scheme_and_noise(tmp_path):
