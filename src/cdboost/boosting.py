@@ -9,9 +9,10 @@ change of the objective: loss + BIC-type sparsity term + commonality penalty
 Applying an increment to a proper subset of a class splits the class;
 classes never merge.  The path holds each group's classes as one label row
 (entry m is the smallest dataset in m's class): ``_split`` is the split
-rule, and ``_unequal`` counts differing pairs, both for the penalty trace
-and, on every candidate's split-off row at once, for the split costs of
-``_SubsetTasks``, which keeps every candidate's sparsity term in place.
+rule.  A split re-prices only its group: ``_unequal`` counts the group's
+differing pairs for the penalty trace and, on every candidate's split-off
+row at once, its split costs in ``_SubsetTasks``, which keeps every
+candidate's sparsity term in place.
 Every fitter is a path plus a stop: its kind sets the path's starting
 classes and which candidates step, and its stopping rule picks each
 dataset's iteration, from which ``_stop`` replays the path and reads the
@@ -62,9 +63,10 @@ from .data import (
 from .losses import LossContext, build_context, survival_order
 
 
-def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> bool:
+def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> int | None:
     """Split A off its class in group k's label row when the increment g is
-    nonzero and A is a proper subset of the class; return whether it split.
+    nonzero and A is a proper subset of the class; return the label of the
+    rest of the class, or None when nothing splits.
 
     A lies inside one class, as every candidate does.  Its members take the
     label A[0] and the rest of the class its smallest remaining member, so
@@ -73,13 +75,13 @@ def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> boo
     row = labels[k]
     c = row[A[0]]
     if g == 0.0 or len(A) == row.count(c):
-        return False
+        return None
     rest = [m for m, label in enumerate(row) if label == c and m not in A]
     for m in A:
         row[m] = A[0]
     for m in rest:
         row[m] = rest[0]
-    return True
+    return rest[0]
 
 
 def _unequal(labels, mode: str) -> np.ndarray:
@@ -105,9 +107,9 @@ class _SubsetTasks:
     there are at most 2^M - 1.  A subset A is a candidate for covariate s
     when A lies inside one equality class of s's group.  Classes only split,
     so a split never adds a subset: it only changes which rows are
-    candidates and what they cost, which ``price`` sets.  A row that lies
-    inside no class of any group stays in the table, all inf, and never
-    wins.
+    candidates in the split group's columns and what they cost there, which
+    ``price`` sets from that group's label row, with its counted pairs
+    (``pairs``).  A row inside no class of any group stays, all inf.
 
     Within-class invariant: datasets of one equality class hold identical
     coefficient blocks, so wherever A is a candidate for s, beta[s, m] is
@@ -136,6 +138,7 @@ class _SubsetTasks:
         self.ind = np.zeros((S, M))
         self.ind[np.repeat(self.rows, -self.neg_len),
                  list(itertools.chain.from_iterable(self.subsets))] = 1.0
+        self.inA = self.ind > 0                     # (S, M)
         self.first = np.array([A[0] for A in self.subsets])
         self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
@@ -146,23 +149,24 @@ class _SubsetTasks:
         self.pf_new = np.repeat(self.pf_sum[:, None], self.denA.shape[1], axis=1)
         self.lead = self.first == np.arange(M)[:, None]     # (M, S): rows m leads
         self.hold(np.zeros((M, 0)))
-        self.price(labels)
+        self.pairs = np.zeros(len(labels), dtype=int)
+        for row in dict.fromkeys(map(tuple, labels)):      # each starting row once
+            self.price(row, [k for k, r in enumerate(labels) if tuple(r) == row])
 
-    def price(self, labels) -> None:
-        """Write into ``pen_sp`` the (S, p) split cost of each subset where it
-        is a candidate for the covariate, inf where it is not, for the
-        classes of ``labels``; ``any_pen`` tells whether it holds a nonzero."""
-        labels = np.asarray(labels)                 # (K, M)
-        inA = self.ind[:, None, :] > 0              # (S, 1, M)
-        # A is a candidate in group k when it lies inside one class there;
-        # its split cost counts the pairs that relabelling A apart adds
-        valid = ((labels == labels[:, self.first].T[:, :, None]) | ~inA).all(axis=2)
-        split = np.where(inA, -1, labels)           # (S, K, M)
-        dsplit = self.pen_scale * np.where(
-            valid, _unequal(split, self.mode) - _unequal(labels, self.mode), 0)
-        # ids in range: "clip" writes to ``out`` directly, "raise" via a buffer
-        np.take(np.where(valid, dsplit, np.inf), self.assignment, axis=1, out=self.pen_sp,
-                mode="clip")
+    def price(self, row, ks) -> None:
+        """Price the groups ``ks``, whose classes the label ``row`` holds:
+        write into their columns of ``pen_sp`` each subset's split cost where
+        it is a candidate, inf where it is not, and their counted pairs into
+        ``pairs``; ``any_pen`` tells whether ``pen_sp`` holds a nonzero."""
+        row = np.asarray(row)                       # (M,)
+        # A is a candidate when it lies inside one class; its split cost
+        # counts the pairs that relabelling A apart adds
+        valid = ((row == row[self.first][:, None]) | ~self.inA).all(axis=1)
+        pairs = _unequal(row, self.mode)
+        split = _unequal(np.where(self.inA, -1, row), self.mode)   # (S,)
+        cost = np.where(valid, self.pen_scale * (split - pairs), np.inf)
+        self.pen_sp[:, np.isin(self.assignment, ks)] = cost[:, None]
+        self.pairs[ks] = pairs
         self.any_pen = bool(self.pen_sp.any())
 
     def move(self, m: int, s: int, nonzero: bool) -> None:
@@ -226,10 +230,11 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     different blocks.  Otherwise ``AssertionError`` names the first failing
     group.
 
-    The subset table is built once; a split only re-prices it (``price``),
-    a support move rewrites one column of its sparsity row (``move``, then
-    one ``hold`` per step).  The (S, p) tables are written with ``out=`` into
-    the working set: the same ops in the same order as on fresh arrays.
+    The subset table is built once; a split only re-prices its own group
+    (``price``), whose counted pairs the penalty trace sums; a support move
+    rewrites one column of its sparsity row (``move``, then one ``hold`` per
+    step).  The (S, p) tables are written with ``out=`` into the working
+    set: the same ops in the same order as on fresh arrays.
     """
     M, p, K = ctx.M, ctx.p, groups.K
     nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
@@ -238,15 +243,11 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
     pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
-    def penalty_of(labels):
-        return lam * int(_unequal(labels, mode).sum()) / normalizer if normalizer > 0 else 0.0
-
     def loss_of(m):
         return 0.5 * float(ctx.weights[m] @ (resid[m] * resid[m]))
 
     # one list per group, as _split edits the rows in place
     labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
-    pen = penalty_of(labels)
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
     resid = [ctx.y[m].astype(float).copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
@@ -254,6 +255,7 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
 
     tasks = _SubsetTasks(labels, assignment, np.vstack(ctx.col_norms), pf, mode, pen_scale)
     numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
+    pen = lam * int(tasks.pairs.sum()) / normalizer if normalizer > 0 else 0.0
     s_steps = np.full((T, M), -1)
     g_steps = np.zeros((T, M))
     loss = np.empty((M, T))
@@ -296,11 +298,10 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
         for i in stepping.tolist():
             s_hat, A_hat, g_hat = int(js[i]), tasks.subsets[i], float(gamma[i, js[i]])
             k_hat = int(assignment[s_hat])
-            before = labels[k_hat].copy() if verify_partitions else None
-            split = _split(labels, k_hat, A_hat, g_hat)
-            if split:
-                pen = penalty_of(labels)
-                tasks.price(labels)
+            rest = _split(labels, k_hat, A_hat, g_hat)
+            if rest is not None:
+                tasks.price(labels[k_hat], [k_hat])
+                pen = lam * int(tasks.pairs.sum()) / normalizer
             step = nu * g_hat
             moved = False
             for m in A_hat:
@@ -316,15 +317,13 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
             if moved:
                 tasks.hold(coef)
             if verify_partitions:
-                if split:
+                if rest is not None:
                     cols = groups.indices(k_hat)
                     rep[:, cols] = np.asarray(labels[k_hat])[:, None] * p + cols
-                    # each half holds one block once the map check passes;
-                    # the rest of the class is labelled by its smallest member
-                    rest = next(m for m, c in enumerate(before)
-                                if c == before[A_hat[0]] and m not in A_hat)
+                # each half holds one block once the map check passes
                 bad = assignment[(coef.take(rep) != coef).any(axis=0)]
-                if bad.size or split and (coef[A_hat[0], cols] == coef[rest, cols]).all():
+                if bad.size or rest is not None and (
+                        coef[A_hat[0], cols] == coef[rest, cols]).all():
                     raise AssertionError(
                         f"iteration {t + 1}: tracked partition of group "
                         f"{int(bad.min()) if bad.size else k_hat} "

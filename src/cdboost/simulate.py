@@ -280,18 +280,24 @@ def _calibrate_censoring(log_times: np.ndarray, target: float) -> float:
     """Upper bound c of the uniform censoring law, set by bisection.
 
     With censoring times U[0, c], the expected censored fraction given the
-    drawn event times T is mean(min(T/c, 1)), decreasing in c.
+    drawn event times T is mean(min(T/c, 1)), decreasing in c.  Event times,
+    or a bound c, past the float range raise before any bisection step.
     """
-    T = np.exp(log_times)
+    with np.errstate(over="ignore"):
+        T = np.exp(log_times)
 
     def rate(c):
         return float(np.minimum(T / c, 1.0).mean())
 
     steps = 0
     hi = float(T.max())
-    while rate(hi) > target and steps < _CENSORING_MAX_STEPS:
+    while hi < math.inf and rate(hi) > target and steps < _CENSORING_MAX_STEPS:
         hi *= 2.0
         steps += 1
+    if hi == math.inf:
+        raise CalibrationError(
+            f"censoring calibration overflows the float range: the largest log "
+            f"event time is {float(log_times.max()):.6g}")
     lo = hi * 1e-12
     while steps < _CENSORING_MAX_STEPS:
         mid = 0.5 * (lo + hi)

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import itertools
+import tracemalloc
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -431,7 +432,7 @@ def test_verify_partitions_catches_a_step_to_part_of_a_class(monkeypatch):
     """A split rule that never splits leaves a class whose members hold
     different blocks after the first single-dataset step."""
     bundles, groups = _copy_of_dataset_0()
-    monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: False)
+    monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: None)
     with pytest.raises(AssertionError, match="iteration 1: tracked partition of group 2"):
         cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
 
@@ -470,7 +471,7 @@ def test_fit_dispatch(lr_problem):
 @settings(max_examples=300, deadline=None)
 @given(M=st.integers(1, 6), mode=st.sampled_from(["all_pairs", "ordered"]), data=st.data())
 def test_label_rows_match_partition_oracles(M, mode, data):
-    """The split rule, the pair count and every split cost of the candidate
+    """The split rule, the pair counts and every split cost of the candidate
     table agree with the literal partition oracles on random partitions."""
     K = data.draw(st.integers(1, 3))
     draws = data.draw(st.lists(st.lists(st.integers(0, M - 1), min_size=M, max_size=M),
@@ -485,6 +486,7 @@ def test_label_rows_match_partition_oracles(M, mode, data):
     pen_scale = 0.3
     assignment = np.repeat(np.arange(K), 2)
     tasks = _SubsetTasks(labels, assignment, np.ones((M, 2 * K)), np.ones(M), mode, pen_scale)
+    assert tasks.pairs.tolist() == [oracles.unequal_pairs(pt, M, mode) for pt in parts]
     for i, A in enumerate(tasks.subsets):
         for k, pt in enumerate(parts):
             inside = any(set(A) <= set(c) for c in pt)
@@ -493,11 +495,14 @@ def test_label_rows_match_partition_oracles(M, mode, data):
                 added = (oracles.unequal_pairs(oracles.split(pt, A), M, mode)
                          - oracles.unequal_pairs(pt, M, mode))
                 assert tasks.pen_sp[i, 2 * k] == pen_scale * added
-    # the table of the all-common start, re-priced for these classes, holds
-    # the same rows, and all inf where a subset lies inside no class
+    # the table of the all-common start, re-priced group by group for these
+    # classes, holds the same rows and pair counts, and all inf where a
+    # subset lies inside no class
     whole = _SubsetTasks([[0] * M] * K, assignment, np.ones((M, 2 * K)), np.ones(M), mode,
                          pen_scale)
-    whole.price(labels)
+    for k, row in enumerate(labels):
+        whole.price(row, [k])
+    assert np.array_equal(whole.pairs, tasks.pairs)
     rows = dict(zip(tasks.subsets, tasks.pen_sp))
     for A, row in zip(whole.subsets, whole.pen_sp):
         assert np.array_equal(row, rows[A]) if A in rows else np.isinf(row).all()
@@ -507,7 +512,11 @@ def test_label_rows_match_partition_oracles(M, mode, data):
     A = tuple(sorted(data.draw(st.lists(st.sampled_from(cls), min_size=1, unique=True))))
     g = data.draw(st.sampled_from([0.0, -0.5, 1.25]))
     want = parts[k] if g == 0.0 else tuple(oracles.split(parts[k], A))
-    assert _split(labels, k, A, g) == (want != parts[k])
+    rest = _split(labels, k, A, g)
+    assert (rest is not None) == (want != parts[k])
+    if rest is not None:
+        # the label of the rest of the class: its smallest member
+        assert rest == min(m for c in want if c[0] in cls and c != A for m in c)
     assert labels[k] == partition_labels(want)
     assert [label_classes(row) for j, row in enumerate(labels) if j != k] == \
         [pt for j, pt in enumerate(parts) if j != k]
@@ -570,6 +579,31 @@ def test_support_move_allocates_no_sparsity_table():
     assert np.count_nonzero(np.diff(path.sparsity, axis=1)) > 20
     table = (2**M - 1) * p * 8
     assert peak - table * (6 + 1 / 8) < table
+
+
+def test_price_allocates_a_fraction_of_a_table(monkeypatch):
+    """A split re-prices only its own group, from (S, M) arrays: at M=10 on
+    the ``cd-m8`` benchmark generator, the allocation traced inside every
+    ``price`` call of a cd path stays under a quarter of one (S, p) float
+    table."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    from workloads import multi_dataset
+
+    bundles, groups = multi_dataset(0, 10)
+    real_price = _SubsetTasks.price
+    grown = []
+
+    def traced_price(tasks, row, ks):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        real_price(tasks, row, ks)
+        grown.append(tracemalloc.get_traced_memory()[1] - held)
+
+    monkeypatch.setattr(_SubsetTasks, "price", traced_price)
+    traced_peak(_path, build_context(bundles, "lr"), groups, BoostConfig(T=40, lam=1.0))
+    assert len(grown) > 1          # the start and at least one split
+    table = (2**10 - 1) * groups.p * 8
+    assert max(grown) < table / 4
 
 
 @pytest.mark.parametrize("M", [2, 3, 4])

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,9 +264,12 @@ def test_fit_bytes_pinned(reduced_seed1, capsys, model, standardize):
     assert got == _FIT_SEED1_SHA256[model, standardize], pin_message()
 
 
-def _selections(fit_json: bytes) -> str:
+def _selections(fit_json: bytes, stop: bool = True) -> str:
+    """sha256 of a fit's method, lambda, ``t_hat`` (unless not ``stop``),
+    support and classes."""
     payload = json.loads(fit_json)
-    record = (payload["method"], payload["lambda"], payload["t_hat"],
+    record = (payload["method"], payload["lambda"],
+              *([payload["t_hat"]] if stop else []),
               [(j, m) for j, m, _ in payload["coefficients"]],
               [group["classes"] for group in payload["group_verdicts"]])
     return hashlib.sha256(repr(record).encode()).hexdigest()
@@ -335,6 +339,26 @@ def test_fit_early_stop_selections_pinned(tmp_path, capsys):
     got = {method: _selections(out) for method, out in _early_stop_fits(tmp_path).items()}
     capsys.readouterr()
     assert got == _EARLY_STOP_SELECTIONS_SHA256, pin_message()
+
+
+# ``_selections`` of the same runs without ``t_hat``, recorded under
+# SkylakeX; the same under Haswell, Zen and Prescott, where the stops move
+# (pool stops at 401, 235, 235 and 381)
+_EARLY_STOP_SUPPORTS_SHA256 = {
+    "cd-sboost": "adb4d3e3c367823d626690361c04fb91d60199998a24dc795f89252e959b46e0",
+    "sep-sboost": "c1697ee36d443094c7d5aa1088a5e7ead46832350941cd25a907e7069cb51c21",
+    "int-sboost": "d88725bcf58b8fccd89bb07b04c70455238d1d71851c348521d703ada6aaaa6e",
+    "pool-sboost": "7285ccced5075203ad07c3aacf7cc8e363b4fbb0473cbbcf41b317e977e7c9fb",
+}
+
+
+def test_fit_early_stop_supports_pinned(tmp_path, capsys):
+    """The kernel-portable twin of the early-stop pins: method, lambda,
+    support and classes, without the stop."""
+    got = {method: _selections(out, stop=False)
+           for method, out in _early_stop_fits(tmp_path).items()}
+    capsys.readouterr()
+    assert got == _EARLY_STOP_SUPPORTS_SHA256, pin_message()
 
 
 # sha256 of `cdboost fit --lambda auto --iters 300` JSON (cd, and int, which
@@ -876,6 +900,25 @@ def test_simulate_exit_code_contract(tmp_path_factory, capsys, flags):
     argv += [part for flag, value in flags for part in (flag, value)]
     assert _exit_code(argv) in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_aft_event_times_past_the_float_range_fail_naming_the_overflow(tmp_path, capsys):
+    """At sigma2 1e6 some log event times exceed what exp can hold: simulate
+    exits 4 with one error line naming the overflow and no numpy warning,
+    and a benchmark replicate of the same design records that text."""
+    design = ["--preset", "reduced", "--n", "30", "--p", "40", "--k", "4", "--seed", "1",
+              "--model", "aft", "--sigma2", "1e6"]
+    want = "censoring calibration overflows the float range: the largest log event time is "
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", *design, "--outdir", str(tmp_path / "sim")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {want}") and err.count("\n") == 1, err
+        assert main(["benchmark", *design, "--replicates", "1", "--iters", "50",
+                     "--output", str(out)]) == 0
+    failures = json.loads(out.read_text())["failures"]
+    assert len(failures) == 1 and failures[0].startswith(f"replicate 0: {want}"), failures
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from cdboost.data import ValidationError, load_bundles
 from cdboost.simulate import (
     SCENARIOS,
+    CalibrationError,
+    _calibrate_censoring,
     GroundTruth,
     SimDesign,
     covariance_quad_form,
@@ -268,6 +270,15 @@ def test_aft_responses_censoring_rate():
             rates.append(1.0 - delta.mean())
     # calibration targets the expected rate; realized draws scatter around it
     assert np.mean(rates) == pytest.approx(design.target_censoring, abs=0.06)
+
+
+@pytest.mark.parametrize("log_times", [[1.0, 720.0], [709.0, 709.0]])
+def test_censoring_calibration_names_an_overflow(log_times):
+    """Event times past exp's range, or event times so close to it that
+    doubling the censoring bound overflows, fail before any bisection step,
+    naming the overflow rather than convergence."""
+    with pytest.raises(CalibrationError, match="overflows the float range"):
+        _calibrate_censoring(np.array(log_times), 0.3)
 
 
 def test_simulate_replicate_shapes_and_reuse():
