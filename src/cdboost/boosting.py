@@ -102,14 +102,16 @@ def _nonempty_subsets(cls: tuple[int, ...]):
 class _SubsetTasks:
     """Candidate subsets of the starting classes, in vectorized form.
 
-    The table holds every non-empty subset of a starting class, ordered
-    largest first then lexicographic (the tie-break order); with M datasets
-    there are at most 2^M - 1.  A subset A is a candidate for covariate s
-    when A lies inside one equality class of s's group.  Classes only split,
-    so a split never adds a subset: it only changes which rows are
-    candidates in the split group's columns and what they cost there, which
-    ``price`` sets from that group's label row, with its counted pairs
-    (``pairs``).  A row inside no class of any group stays, all inf.
+    Every group starts with the classes of one label ``row``, priced in all
+    K groups by one ``price`` call.  The table holds every non-empty subset
+    of a starting class, ordered largest first then lexicographic (the
+    tie-break order); with M datasets there are at most 2^M - 1.  A subset A
+    is a candidate for covariate s when A lies inside one equality class of
+    s's group.  Classes only split, so a split never adds a subset: it only
+    changes which rows are candidates in the split group's columns and what
+    they cost there, which ``price`` sets from that group's label row, with
+    its counted pairs (``pairs``).  A row inside no class of any group
+    stays, all inf.
 
     Within-class invariant: datasets of one equality class hold identical
     coefficient blocks, so wherever A is a candidate for s, beta[s, m] is
@@ -126,19 +128,17 @@ class _SubsetTasks:
     at 0 and stays 0 where ``denA`` is.
     """
 
-    def __init__(self, labels, assignment, col_norms, pf, mode, pen_scale):
-        classes = {c for row in labels for c in label_classes(row)}
+    def __init__(self, row, assignment, col_norms, pf, mode, pen_scale):
         self.subsets = sorted(
-            {A for c in classes for A in _nonempty_subsets(c)},
+            itertools.chain.from_iterable(map(_nonempty_subsets, label_classes(row))),
             key=lambda A: (-len(A), A),
         )
-        S, M = len(self.subsets), len(labels[0])
+        S, M, K = len(self.subsets), len(row), int(assignment.max()) + 1
         self.rows = np.arange(S)
         self.neg_len = -np.array([len(A) for A in self.subsets])
         self.ind = np.zeros((S, M))
         self.ind[np.repeat(self.rows, -self.neg_len),
                  list(itertools.chain.from_iterable(self.subsets))] = 1.0
-        self.inA = self.ind > 0                     # (S, M)
         self.first = np.array([A[0] for A in self.subsets])
         self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
@@ -149,21 +149,20 @@ class _SubsetTasks:
         self.pf_new = np.repeat(self.pf_sum[:, None], self.denA.shape[1], axis=1)
         self.lead = self.first == np.arange(M)[:, None]     # (M, S): rows m leads
         self.hold(np.zeros((M, 0)))
-        self.pairs = np.zeros(len(labels), dtype=int)
-        for row in dict.fromkeys(map(tuple, labels)):      # each starting row once
-            self.price(row, [k for k, r in enumerate(labels) if tuple(r) == row])
+        self.pairs = np.zeros(K, dtype=int)
+        self.price(row, range(K))
 
     def price(self, row, ks) -> None:
         """Price the groups ``ks``, whose classes the label ``row`` holds:
         write into their columns of ``pen_sp`` each subset's split cost where
         it is a candidate, inf where it is not, and their counted pairs into
         ``pairs``; ``any_pen`` tells whether ``pen_sp`` holds a nonzero."""
-        row = np.asarray(row)                       # (M,)
+        row, inA = np.asarray(row), self.ind > 0   # (M,), (S, M)
         # A is a candidate when it lies inside one class; its split cost
         # counts the pairs that relabelling A apart adds
-        valid = ((row == row[self.first][:, None]) | ~self.inA).all(axis=1)
+        valid = ((row == row[self.first][:, None]) | ~inA).all(axis=1)
         pairs = _unequal(row, self.mode)
-        split = _unequal(np.where(self.inA, -1, row), self.mode)   # (S,)
+        split = _unequal(np.where(inA, -1, row), self.mode)   # (S,)
         cost = np.where(valid, self.pen_scale * (split - pairs), np.inf)
         self.pen_sp[:, np.isin(self.assignment, ks)] = cost[:, None]
         self.pairs[ks] = pairs
@@ -249,11 +248,11 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     # one list per group, as _split edits the rows in place
     labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
-    resid = [ctx.y[m].astype(float).copy() for m in range(M)]
+    resid = [ctx.y[m].copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
     cur_loss = [loss_of(m) for m in range(M)]
 
-    tasks = _SubsetTasks(labels, assignment, np.vstack(ctx.col_norms), pf, mode, pen_scale)
+    tasks = _SubsetTasks(labels[0], assignment, np.vstack(ctx.col_norms), pf, mode, pen_scale)
     numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
     pen = lam * int(tasks.pairs.sum()) / normalizer if normalizer > 0 else 0.0
     s_steps = np.full((T, M), -1)

@@ -5,7 +5,7 @@ validated against a schema shipped with the package before it is written,
 so two runs with the same configuration and seed emit byte-identical files
 regardless of worker count.  Exit codes: 2 malformed input file, 3 invalid
 configuration, inconsistent data or a path that cannot be opened or
-created, 4 numeric failure.
+created, 4 numeric failure or a benchmark whose every replicate failed.
 """
 
 import argparse
@@ -279,7 +279,7 @@ def cmd_fit(args) -> int:
         "group_verdicts": [
             {"group": k, "verdict": verdict, "classes": [list(c) for c in part]}
             for k, (verdict, part) in enumerate(
-                zip(result.group_verdicts(groups), result.partitions)
+                zip(result.group_verdicts(), result.partitions)
             )
         ],
         "objective_trace": [float(v) for v in result.objective_trace],
@@ -320,6 +320,8 @@ def cmd_benchmark(args) -> int:
     report = benchmark(design, methods, args.replicates, config=config,
                        tune=args.lam == "auto", workers=args.workers, verify=not args.no_verify)
     _emit(report.to_json(), "benchmark_report.schema.json", args.output)
+    if not report.rows:  # the report records the failures; a table would hold only nan
+        raise NumericError(f"every replicate failed; {report.failures[0]}")
     table = report.to_table()
     if args.table:
         with open(args.table, "w") as fh:
@@ -366,10 +368,6 @@ def _add_common_fit_flags(sub):
     sub.add_argument("--config", help="key=value defaults file; flags win")
 
 
-def _add_seed_flag(sub, **kwargs):
-    sub.add_argument("--seed", type=int, **kwargs)
-
-
 def _add_design_flags(sub, extra_presets=()):
     """The simulation design flags of ``simulate`` and ``benchmark``."""
     sub.add_argument("--preset", default="standard",
@@ -385,7 +383,7 @@ def _add_design_flags(sub, extra_presets=()):
     sub.add_argument("--n", type=int, help="override subjects per dataset")
     sub.add_argument("--p", type=int, help="override covariate count")
     sub.add_argument("--k", type=int, help="override group count")
-    _add_seed_flag(sub, required=True)
+    sub.add_argument("--seed", type=int, required=True)
 
 
 def _add_data_flags(sub):
@@ -437,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p_stab)
     p_stab.add_argument("--methods", default="cd")
     p_stab.add_argument("--splits", type=int, default=100)
-    _add_seed_flag(p_stab, default=0)
+    p_stab.add_argument("--seed", type=int, default=0)
     _add_common_fit_flags(p_stab)
     p_stab.set_defaults(handler=cmd_stability, subparser=p_stab)
 

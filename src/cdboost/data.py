@@ -14,10 +14,10 @@ receive identical joint increments keep exactly equal coefficient blocks, so
 its step loop compares no floats.  The classes the cd and lockstep fitters
 report are read off the coefficients by exact block comparison instead,
 through ``block_partitions``, which builds each group's label row with
-``block_labels``.  Every block comparison here goes through
-``equal_columns``; the cd path's ``verify_partitions`` check instead compares
-each coefficient with that of the dataset labelling its tracked class, which
-needs no pairwise (M, M) table.
+``block_labels``, the one exact block comparison: ``adjacent_equal_pairs``
+compares its labels.  The cd path's ``verify_partitions`` check instead
+compares each coefficient with that of the dataset labelling its tracked
+class, which needs no pairwise (M, M) table.
 
 A bundle owns its arrays.  The CSV reader puts the covariate cells of
 each row into one float64 table and collects ``y`` and ``delta`` apart;
@@ -171,10 +171,6 @@ class GroupStructure:
     def K(self) -> int:
         return int(self.assignment.max()) + 1
 
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.K)
-
     def indices(self, k: int) -> np.ndarray:
         """Covariate indices belonging to group k."""
         return np.nonzero(self.assignment == k)[0]
@@ -220,7 +216,6 @@ class CoefficientState:
 
     beta: np.ndarray
     partitions: list[Partition]
-    iteration: int = 0
 
 
 @dataclass
@@ -249,7 +244,7 @@ class FitResult:
     def M(self) -> int:
         return self.beta_hat.shape[1]
 
-    def group_verdicts(self, groups: GroupStructure) -> list[str]:
+    def group_verdicts(self) -> list[str]:
         """Per group: 'common', 'partial', or 'different' from the partition."""
         out = []
         for part in self.partitions:
@@ -302,15 +297,6 @@ def validate(bundles, groups: GroupStructure, model: str = "lr") -> None:
         raise ValidationError(f"group structure covers {groups.p} covariates, data has {p}")
 
 
-def equal_columns(block: np.ndarray) -> np.ndarray:
-    """Exact element-wise equality of the columns of a (rows, M) block.
-
-    Entry (a, b) of the (M, M) result is True when columns a and b agree in
-    every row; with no rows all columns are equal.
-    """
-    return (block[:, :, None] == block[:, None, :]).all(axis=0)
-
-
 def label_classes(labels) -> Partition:
     """The canonical partition of a label row (entry m names m's class)."""
     classes: dict[int, list[int]] = {}
@@ -321,12 +307,13 @@ def label_classes(labels) -> Partition:
 
 def block_labels(block: np.ndarray) -> list[int]:
     """Label row of the exact equality classes of the columns of a (rows, M)
-    block: entry m is the first column equal to column m.
-
-    A column holding NaN equals no column, itself included, and stays alone.
+    block: entry m is the first column equal to column m in every row (all
+    columns are, with no rows).  Exact ``==`` is transitive on non-NaN
+    floats, so equal columns share a label; a column holding NaN equals no
+    column, itself included, and keeps its own label.
     """
-    return [row.index(True) if row[m] else m
-            for m, row in enumerate(equal_columns(block).tolist())]
+    eq = (block[:, :, None] == block[:, None, :]).all(axis=0)
+    return [row.index(True) if row[m] else m for m, row in enumerate(eq.tolist())]
 
 
 def block_partitions(beta: np.ndarray, groups: GroupStructure) -> list[Partition]:
@@ -337,17 +324,13 @@ def block_partitions(beta: np.ndarray, groups: GroupStructure) -> list[Partition
 
 def adjacent_equal_pairs(beta: np.ndarray, groups: GroupStructure) -> tuple[tuple[bool, ...], ...]:
     """Per group, exact block equality of each adjacent dataset pair (m, m+1)."""
-    out = []
-    for k in range(groups.K):
-        eq = equal_columns(beta[groups.indices(k)])
-        out.append(tuple(bool(eq[m, m + 1]) for m in range(beta.shape[1] - 1)))
-    return tuple(out)
+    rows = (block_labels(beta[groups.indices(k)]) for k in range(groups.K))
+    return tuple(tuple(a == b for a, b in zip(row, row[1:])) for row in rows)
 
 
 def partition_refresh(state: CoefficientState, groups: GroupStructure) -> CoefficientState:
     """Recompute equality classes by exact element-wise block comparison."""
-    return CoefficientState(beta=state.beta, partitions=block_partitions(state.beta, groups),
-                            iteration=state.iteration)
+    return CoefficientState(beta=state.beta, partitions=block_partitions(state.beta, groups))
 
 
 def _run_in_order(fn, jobs, workers: int = 1):
@@ -484,12 +467,11 @@ def _by_column_blocks(reduce, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def standardize_columns(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Center to mean 0 and scale to unit variance; constant columns are
-    centered only.  The result goes into ``out``, which may be ``X`` itself
-    (standardizing in place), or into a new array; either is returned.
-    A column whose mean or deviation overflows raises ``NumericError``:
-    scaling by an infinite deviation would turn it into zeros."""
+def standardize_columns(X: np.ndarray) -> np.ndarray:
+    """Center the float64 ``X`` to mean 0 and scale it to unit variance, in
+    place, and return it; constant columns are centered only.  A column
+    whose mean or deviation overflows raises ``NumericError`` before ``X``
+    is written: scaling by an infinite deviation would turn it into zeros."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu = _by_column_blocks(np.mean, X)
         sd = _by_column_blocks(np.std, X)  # one block's deviations at a time
@@ -497,9 +479,9 @@ def standardize_columns(X: np.ndarray, out: np.ndarray | None = None) -> np.ndar
         raise NumericError("a column mean or standard deviation overflows; rescale the data")
     sd = np.where(sd > 0, sd, 1.0)
     # the same IEEE operations as (X - mu) / sd
-    out = np.subtract(X, mu, out=out)
-    out /= sd
-    return out
+    X -= mu
+    X /= sd
+    return X
 
 
 def load_dataset_csv(path, id: int = 0, standardize: bool = True) -> tuple[DatasetBundle, list[str]]:
@@ -512,7 +494,7 @@ def load_dataset_csv(path, id: int = 0, standardize: bool = True) -> tuple[Datas
     X, y, delta, names = read_dataset_csv(path)
     if standardize:
         try:
-            standardize_columns(X, out=X)
+            standardize_columns(X)
         except NumericError as exc:
             raise NumericError(f"{path}: {exc}") from None
     return DatasetBundle(X=X, y=y, delta=delta, id=id), names

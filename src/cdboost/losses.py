@@ -36,7 +36,6 @@ class LossContext:
     y: list[np.ndarray]
     weights: list[np.ndarray]
     col_norms: list[np.ndarray]  # per dataset: sum_i w_i x_is^2 for each s
-    n_events: list[int]
     penalty_factor: list[float]  # log(n)/n per dataset
 
     @property
@@ -130,9 +129,9 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
     ``w @ (y * y)`` that overflows raises ``NumericError``: no increment or
     loss of such data would be finite.
     """
-    Xs, ys, ws, norms, n_events, pf = [], [], [], [], [], []
+    Xs, ys, ws, norms, pf = [], [], [], [], []
     for b in bundles:
-        X, y, w, events = weighted_rows(b, model)
+        X, y, w, _ = weighted_rows(b, model)
         with np.errstate(over="ignore", invalid="ignore"):
             cn = _col_norms(X, w)
             energy = float(w @ (y * y))
@@ -150,7 +149,5 @@ def build_context(bundles: list[DatasetBundle], model: str) -> LossContext:
         ys.append(y)
         ws.append(w)
         norms.append(cn)
-        n_events.append(events)
         pf.append(np.log(b.n) / b.n)
-    return LossContext(X=Xs, y=ys, weights=ws, col_norms=norms,
-                       n_events=n_events, penalty_factor=pf)
+    return LossContext(X=Xs, y=ys, weights=ws, col_norms=norms, penalty_factor=pf)

@@ -266,7 +266,7 @@ def gen_covariates(design: SimDesign, replicate: int = 0, test: bool = False) ->
         # sqrt(1-b) u + sqrt(b) z0 is sqrt(b) z0 + sqrt(1-b) u exactly
         u *= math.sqrt(1 - b)
         u += math.sqrt(b) * z0
-        out.append(standardize_columns(u, out=u))
+        out.append(standardize_columns(u))
     return out
 
 

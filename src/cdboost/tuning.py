@@ -53,18 +53,15 @@ def hdbic(fit, bundles) -> float:
         r = y - X @ beta[:, m]
         df = int(np.count_nonzero(beta[:, m]))
         if model == "aft":
-            rss = float(w @ (r * r))
-            if rss < RSS_FLOOR:
-                warnings.warn(f"dataset {m}: weighted RSS floored at {RSS_FLOOR}")
-                rss = RSS_FLOOR
-            total += n_events * math.log(rss) + df * log_p * math.log(n_events)
+            what, rss = "weighted RSS", float(w @ (r * r))
         else:
-            n = y.size
-            rss = float(r @ r)
-            if rss < RSS_FLOOR:
-                warnings.warn(f"dataset {m}: RSS floored at {RSS_FLOOR}")
-                rss = RSS_FLOOR
-            total += n * math.log(rss / n) + df * log_p * math.log(n)
+            what, rss = "RSS", float(r @ r)
+        if rss < RSS_FLOOR:
+            warnings.warn(f"dataset {m}: {what} floored at {RSS_FLOOR}")
+            rss = RSS_FLOOR
+        # n_events is n under LR, whose RSS is divided by n
+        log_rss = math.log(rss) if model == "aft" else math.log(rss / n_events)
+        total += n_events * log_rss + df * log_p * math.log(n_events)
     return total
 
 

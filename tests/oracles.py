@@ -233,6 +233,16 @@ def split(partition, A):
     return sorted((tuple(sorted(c)) for c in out), key=lambda c: c[0])
 
 
+def equal_columns(block):
+    """The (M, M) exact equality table of the columns of a (rows, M) block,
+    one pair of columns and one cell at a time: entry (a, b) is True when
+    columns a and b agree in every row (all pairs do, with no rows).
+    -0.0 equals 0.0; NaN equals nothing, itself included."""
+    cols = block.T.tolist()
+    return np.array([[all(x == y for x, y in zip(a, b)) for b in cols] for a in cols],
+                    dtype=bool).reshape(len(cols), len(cols))
+
+
 def commonality_penalty(state, spec):
     """lam * (differing (group, counted pair) blocks) / (counted blocks);
     0 for a single dataset."""

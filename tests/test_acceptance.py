@@ -114,7 +114,7 @@ def test_criterion_1_oracle_equivalence():
             bundles = make_aft_bundles(rng, M=M, n=n, p=p)
         ctx = build_context(bundles, model)
         state = CoefficientState(beta=rng.standard_normal((p, M)) * 0.3,
-                                 partitions=[], iteration=0)
+                                 partitions=[])
         s = int(rng.integers(p))
         m = int(rng.integers(M))
 
@@ -337,8 +337,7 @@ def test_criterion_5_structural_identities():
     bundles, _ = simulate_replicate(design, 0)
     result = cd_sboost_fit(bundles, design.groups(), config,
                            verify_partitions=True)
-    tracked = CoefficientState(beta=result.beta_hat, partitions=[],
-                               iteration=result.t_hat)
+    tracked = CoefficientState(beta=result.beta_hat, partitions=[])
     refreshed = partition_refresh(tracked, design.groups())
     assert refreshed.partitions == result.partitions
     print("CRITERION 5 PASS: pool TP+FP = K(M-1), N_ig = 20(2rho_f+rho_p), "
@@ -446,8 +445,7 @@ def test_criterion_7_property_suite():
     lam = 1.7
     spec = PenaltySpec(lam=lam, M=3, K=2, mode="all_pairs")
     def pen(parts):
-        state = CoefficientState(beta=np.zeros((2, 3)), partitions=list(parts),
-                                 iteration=0)
+        state = CoefficientState(beta=np.zeros((2, 3)), partitions=list(parts))
         return commonality_penalty(state, spec)
 
     common = [all_common_partition(3)] * 2

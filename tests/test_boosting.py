@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import tracemalloc
 from contextlib import nullcontext
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cdboost
 import oracles
-from cdboost import boosting, losses, simulate
+from cdboost import boosting, cli, losses, simulate
 from cdboost.boosting import (
     _path,
     _split,
@@ -81,7 +83,6 @@ def test_penalty_hits_lam_when_all_differ():
     state = CoefficientState(
         beta=np.zeros((4, 3)),
         partitions=[tuple((m,) for m in range(3))] * 2,
-        iteration=0,
     )
     assert commonality_penalty(state, spec) == pytest.approx(2.0)
 
@@ -95,7 +96,7 @@ def test_penalty_mixed_partitions_all_pairs():
         ((0, 1), (2,)),
         ((1, 2), (0,)),
     ]
-    state = CoefficientState(beta=np.zeros((8, 3)), partitions=parts, iteration=0)
+    state = CoefficientState(beta=np.zeros((8, 3)), partitions=parts)
     assert commonality_penalty(state, spec) == pytest.approx(7.0 / 12.0)
 
 
@@ -103,7 +104,7 @@ def test_penalty_ordered_counts_adjacent_pairs_only():
     spec = PenaltySpec(lam=1.0, M=3, K=1, mode="ordered")
     # {13}{2}: both adjacent pairs (1,2) and (2,3) differ
     state = CoefficientState(
-        beta=np.zeros((2, 3)), partitions=[((0, 2), (1,))], iteration=0
+        beta=np.zeros((2, 3)), partitions=[((0, 2), (1,))]
     )
     assert commonality_penalty(state, spec) == pytest.approx(1.0)
 
@@ -118,7 +119,7 @@ def test_penalty_bounds_random_partitions(rng):
             for m, c in enumerate(labels):
                 classes.setdefault(int(c), []).append(m)
             parts.append(tuple(tuple(v) for v in classes.values()))
-        state = CoefficientState(beta=np.zeros((6, 4)), partitions=parts, iteration=0)
+        state = CoefficientState(beta=np.zeros((6, 4)), partitions=parts)
         pen = commonality_penalty(state, spec)
         assert 0.0 <= pen <= 0.7 + 1e-15
 
@@ -138,7 +139,6 @@ def test_candidate_set_respects_partition(lr_problem):
     state = CoefficientState(
         beta=np.zeros((6, 3)),
         partitions=[((0, 1), (2,)), ((0, 1, 2),)],
-        iteration=0,
     )
     cands = candidate_set(ctx, state, groups, 0)   # group 0: {01}{2}
     assert sorted(c.A for c in cands) == [(0,), (0, 1), (1,), (2,)]
@@ -309,7 +309,7 @@ def test_cd_zero_lambda_splits_freely(rng):
     res = cd_sboost_fit(bundles, groups, BoostConfig(T=150, lam=0.0, model="lr"),
                         verify_partitions=True)
     refreshed = partition_refresh(
-        CoefficientState(beta=res.beta_hat, partitions=[], iteration=res.t_hat),
+        CoefficientState(beta=res.beta_hat, partitions=[]),
         groups,
     )
     assert refreshed.partitions == res.partitions
@@ -320,7 +320,7 @@ def test_cd_large_lambda_keeps_groups_common(rng):
     groups = tiny_groups(6, 2)
     res = cd_sboost_fit(bundles, groups, BoostConfig(T=100, lam=1e6, model="lr"))
     assert res.partitions == [((0, 1, 2),)] * 2
-    assert res.group_verdicts(groups) == ["common", "common"]
+    assert res.group_verdicts() == ["common", "common"]
 
 
 def test_cd_all_zero_response_never_updates():
@@ -483,9 +483,13 @@ def test_label_rows_match_partition_oracles(M, mode, data):
     assert int(_unequal(labels, mode).sum()) == sum(
         oracles.unequal_pairs(pt, M, mode) for pt in parts)
 
+    # the table of the all-common start, re-priced group by group for these
+    # classes as splits re-price it in _path
     pen_scale = 0.3
     assignment = np.repeat(np.arange(K), 2)
-    tasks = _SubsetTasks(labels, assignment, np.ones((M, 2 * K)), np.ones(M), mode, pen_scale)
+    tasks = _SubsetTasks([0] * M, assignment, np.ones((M, 2 * K)), np.ones(M), mode, pen_scale)
+    for k, row in enumerate(labels):
+        tasks.price(row, [k])
     assert tasks.pairs.tolist() == [oracles.unequal_pairs(pt, M, mode) for pt in parts]
     for i, A in enumerate(tasks.subsets):
         for k, pt in enumerate(parts):
@@ -495,17 +499,6 @@ def test_label_rows_match_partition_oracles(M, mode, data):
                 added = (oracles.unequal_pairs(oracles.split(pt, A), M, mode)
                          - oracles.unequal_pairs(pt, M, mode))
                 assert tasks.pen_sp[i, 2 * k] == pen_scale * added
-    # the table of the all-common start, re-priced group by group for these
-    # classes, holds the same rows and pair counts, and all inf where a
-    # subset lies inside no class
-    whole = _SubsetTasks([[0] * M] * K, assignment, np.ones((M, 2 * K)), np.ones(M), mode,
-                         pen_scale)
-    for k, row in enumerate(labels):
-        whole.price(row, [k])
-    assert np.array_equal(whole.pairs, tasks.pairs)
-    rows = dict(zip(tasks.subsets, tasks.pen_sp))
-    for A, row in zip(whole.subsets, whole.pen_sp):
-        assert np.array_equal(row, rows[A]) if A in rows else np.isinf(row).all()
 
     k = data.draw(st.integers(0, K - 1))
     cls = data.draw(st.sampled_from(parts[k]))
@@ -549,7 +542,9 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
         for cls in part:
             beta[np.ix_(rows, cls)] = rng.choice(values, size=(rows.size, 1))
     col_norms = rng.uniform(0.5, 2.0, size=(M, p))
-    tasks = _SubsetTasks(list(map(partition_labels, parts)), assignment, col_norms, pf, mode, 0.1)
+    tasks = _SubsetTasks([0] * M, assignment, col_norms, pf, mode, 0.1)
+    for k, part in enumerate(parts):
+        tasks.price(partition_labels(part), [k])
     # increments that sometimes zero a coefficient or leave it unchanged
     gamma = rng.choice(np.concatenate([-values, values]), size=(len(tasks.subsets), p))
 
@@ -823,10 +818,20 @@ def test_reference_code_not_in_package():
                  "_check_starting_classes", "_single_sboost_fit", "_replay",
                  "_holds_blocks", "_columns", "_Support"):
         assert not hasattr(boosting, name)
+    tasks = _SubsetTasks([0, 0], np.array([0]), np.ones((2, 1)), np.ones(2), "all_pairs", 0.0)
+    assert not hasattr(tasks, "inA")
     assert not hasattr(boosting._Path, "steps")
     for name in ("split_class", "partition_meet", "singleton_partitions",
-                 "canonical_partition", "partition_labels", "block_partition"):
+                 "canonical_partition", "partition_labels", "block_partition",
+                 "equal_columns"):
         assert not hasattr(cdboost.data, name)
+    assert not hasattr(cdboost.data.GroupStructure, "sizes")
+    for cls, field in ((CoefficientState, "iteration"), (losses.LossContext, "n_events")):
+        assert field not in {f.name for f in dataclasses.fields(cls)}
+    assert not hasattr(cli, "_add_seed_flag")
+    assert list(inspect.signature(cdboost.data.standardize_columns).parameters) == ["X"]
+    assert list(inspect.signature(cdboost.data.FitResult.group_verdicts).parameters) == \
+        ["self"]
     for name in ("gen_small_example", "true_covariance", "load_truth"):
         assert not hasattr(simulate, name)
 

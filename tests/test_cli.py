@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cdboost import metrics
 from cdboost.cli import _merge_config, build_parser, main
-from cdboost.data import GroupStructure, write_dataset_csv, write_groups_tsv
+from cdboost.data import GroupStructure, NumericError, write_dataset_csv, write_groups_tsv
 
 from conftest import make_lr_bundles, pin_message
 
@@ -904,8 +905,10 @@ def test_simulate_exit_code_contract(tmp_path_factory, capsys, flags):
 
 def test_aft_event_times_past_the_float_range_fail_naming_the_overflow(tmp_path, capsys):
     """At sigma2 1e6 some log event times exceed what exp can hold: simulate
-    exits 4 with one error line naming the overflow and no numpy warning,
-    and a benchmark replicate of the same design records that text."""
+    exits 4 with one error line naming the overflow and no numpy warning.
+    A benchmark of the same design, its every replicate failed, writes its
+    report, which records that text, prints no table, and exits 4 with one
+    error line naming the overflow too."""
     design = ["--preset", "reduced", "--n", "30", "--p", "40", "--k", "4", "--seed", "1",
               "--model", "aft", "--sigma2", "1e6"]
     want = "censoring calibration overflows the float range: the largest log event time is "
@@ -916,7 +919,11 @@ def test_aft_event_times_past_the_float_range_fail_naming_the_overflow(tmp_path,
         err = capsys.readouterr().err
         assert err.startswith(f"error: {want}") and err.count("\n") == 1, err
         assert main(["benchmark", *design, "--replicates", "1", "--iters", "50",
-                     "--output", str(out)]) == 0
+                     "--output", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: every replicate failed; replicate 0: {want}")
+        assert captured.err.count("\n") == 1, captured.err
     failures = json.loads(out.read_text())["failures"]
     assert len(failures) == 1 and failures[0].startswith(f"replicate 0: {want}"), failures
 
@@ -924,6 +931,27 @@ def test_aft_event_times_past_the_float_range_fail_naming_the_overflow(tmp_path,
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
+
+
+def test_benchmark_with_some_replicates_failed_exits_0(tmp_path, capsys, monkeypatch):
+    """One failed replicate of two is recorded; the table of the other is
+    printed and the exit code stays 0."""
+    real = metrics._benchmark_replicate
+
+    def first_fails(args):
+        if args[2] == 0:
+            raise NumericError("synthetic failure")
+        return real(args)
+
+    monkeypatch.setattr(metrics, "_benchmark_replicate", first_fails)
+    out = tmp_path / "report.json"
+    assert main(["benchmark", "--n", "40", "--p", "50", "--k", "2", "--methods", "cd",
+                 "--replicates", "2", "--iters", "30", "--lambda", "0.4", "--seed", "2",
+                 "--workers", "1", "--output", str(out)]) == 0
+    assert "ERMSE" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert payload["failures"] == ["replicate 0: synthetic failure"]
+    assert [r["replicate"] for r in payload["rows"]] == [1]
 
 
 def test_benchmark_cli_round_trip(tmp_path, capsys):
@@ -964,9 +992,11 @@ def test_benchmark_requires_seed():
 
 def test_stability_cli_smoke(tmp_path, capsys, rng):
     paths, groups = _write_problem(tmp_path, rng, n=32)
-    code = main(["stability", "--data", *paths, "--groups", groups,
-                 "--methods", "cd,pool", "--splits", "4", "--seed", "1",
-                 "--lambda", "0.2", "--iters", "40"])
+    # six covariates are fewer than the top 15 the OOI averages over
+    with pytest.warns(UserWarning, match="covariates ever selected"):
+        code = main(["stability", "--data", *paths, "--groups", groups,
+                     "--methods", "cd,pool", "--splits", "4", "--seed", "1",
+                     "--lambda", "0.2", "--iters", "40"])
     assert code == 0
     payload = _read_json(capsys)
     assert payload["splits"] == 4

@@ -22,7 +22,6 @@ from cdboost.data import (
     block_labels,
     block_partitions,
     CoefficientState,
-    equal_columns,
     label_classes,
     load_bundles,
     load_dataset_csv,
@@ -74,7 +73,6 @@ def test_empty_arrays_pass_the_finiteness_checks(tmp_path):
 def test_group_structure_basics():
     g = GroupStructure(assignment=np.array([0, 0, 1, 1, 1]))
     assert g.K == 2
-    assert g.sizes.tolist() == [2, 3]
     assert g.indices(1).tolist() == [2, 3, 4]
 
 
@@ -131,8 +129,7 @@ def test_validate_rejects_all_censored_aft(rng):
 
 
 def test_standardize_columns_moments(rng):
-    X = rng.normal(3.0, 2.5, size=(50, 4))
-    Z = standardize_columns(X)
+    Z = standardize_columns(rng.normal(3.0, 2.5, size=(50, 4)))
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose((Z * Z).mean(axis=0), 1.0, atol=1e-12)
 
@@ -141,8 +138,10 @@ def test_standardize_refuses_overflowing_column(tmp_path, rng):
     """A deviation that overflows would scale the column to zeros."""
     X = rng.standard_normal((12, 3))
     X[:, 1] *= 1e200
+    before = X.copy()
     with pytest.raises(NumericError, match="overflows"):
         standardize_columns(X)
+    assert X.tobytes() == before.tobytes()  # raised before X was written
     path = tmp_path / "big.csv"
     write_dataset_csv(path, X, rng.standard_normal(12))
     with pytest.raises(NumericError, match="big.csv"):
@@ -169,7 +168,7 @@ def test_canonical_partition_sorts():
 
 def test_partition_refresh_zero_beta_all_common():
     groups = tiny_groups(6, 2)
-    state = CoefficientState(beta=np.zeros((6, 3)), partitions=[], iteration=0)
+    state = CoefficientState(beta=np.zeros((6, 3)), partitions=[])
     refreshed = partition_refresh(state, groups)
     assert refreshed.partitions == [((0, 1, 2),)] * 2
 
@@ -179,7 +178,7 @@ def test_partition_refresh_detects_blocks():
     beta = np.zeros((4, 3))
     beta[0, :] = [1.0, 1.0, 0.5]     # group 0: datasets 0,1 equal
     beta[2, :] = [0.3, 0.2, 0.1]     # group 1: all distinct
-    state = CoefficientState(beta=beta, partitions=[], iteration=0)
+    state = CoefficientState(beta=beta, partitions=[])
     refreshed = partition_refresh(state, groups)
     assert refreshed.partitions[0] == ((0, 1), (2,))
     assert refreshed.partitions[1] == ((0,), (1,), (2,))
@@ -188,8 +187,8 @@ def test_partition_refresh_detects_blocks():
 def test_block_partition_exact_comparison():
     block = np.array([[0.0, -0.0, 1.0, 1.0, np.nan],
                       [2.0, 2.0, 2.0, 2.0 + 1e-15, 2.0]])
-    eq = equal_columns(block)
-    assert eq.tolist() == [
+    # the reference table the block comparisons are checked against
+    assert oracles.equal_columns(block).tolist() == [
         [True, True, False, False, False],
         [True, True, False, False, False],
         [False, False, True, False, False],
@@ -202,6 +201,43 @@ def test_block_partition_exact_comparison():
         [((0, 1), (2,), (3,), (4,))]
     assert block_labels(np.empty((0, 3))) == [0, 0, 0]
     assert label_classes([0, 1, 1, 0]) == ((0, 3), (1, 2))
+
+
+_BLOCK_VALUES = st.sampled_from([0.0, -0.0, 1.0, float("nan")])
+
+
+@st.composite
+def _blocks(draw):
+    """A (rows, M) block, 0-4 rows and M = 1..6, whose columns repeat a few
+    drawn columns of 0.0, -0.0, 1.0 and NaN."""
+    M, rows = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    col = st.lists(_BLOCK_VALUES, min_size=rows, max_size=rows)
+    cols = draw(st.lists(col, min_size=1, max_size=M))
+    pick = draw(st.lists(st.integers(0, len(cols) - 1), min_size=M, max_size=M))
+    return np.array([cols[i] for i in pick], dtype=float).reshape(M, rows).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_blocks())
+@example(block=np.array([[0.0, -0.0, 1.0, 1.0, np.nan],
+                         [2.0, 2.0, 2.0, 2.0 + 1e-15, 2.0]]))
+def test_block_comparisons_match_the_equality_table(block):
+    """``block_labels``, ``block_partitions`` and ``adjacent_equal_pairs``
+    agree with the pairwise equality table of the reference."""
+    eq = oracles.equal_columns(block)
+    rows, M = block.shape
+    labels = block_labels(block)
+    assert labels == [next((a for a in range(M) if eq[m, a]), m) for m in range(M)]
+    for a in range(M):
+        for b in range(M):
+            assert (labels[a] == labels[b]) == (a == b or bool(eq[a, b]))
+    if rows:
+        groups = GroupStructure(assignment=[0] * rows)
+        want = oracles.canonical_partition(
+            {tuple(sorted({m, *np.flatnonzero(eq[m]).tolist()})) for m in range(M)})
+        assert block_partitions(block, groups) == [want]
+        assert adjacent_equal_pairs(block, groups) == \
+            (tuple(bool(eq[m, m + 1]) for m in range(M - 1)),)
 
 
 def test_adjacent_equal_pairs():
@@ -223,7 +259,7 @@ def test_fit_result_selected_and_verdicts():
         objective_trace=np.linspace(1, 0.5, 10),
     )
     assert res.selected[0] == (0,)
-    assert res.group_verdicts(groups) == ["common", "partial"]
+    assert res.group_verdicts() == ["common", "partial"]
 
 
 def test_boost_config_validation():
@@ -558,18 +594,10 @@ def test_load_bundles_holds_only_what_it_returns(wide_csvs, standardize):
         assert b.y.flags.owndata
 
 
-def test_standardize_holds_one_temporary(rng):
-    X = rng.standard_normal((200, 1000))
-    _, peak = traced_peak(standardize_columns, X)
-    # one n x p array at a time (std's temporary, then the result);
-    # (X - mu) / sd would hold two at once
-    assert peak < 1.5 * X.nbytes
-
-
 def test_standardize_in_place_holds_no_n_by_p_array(rng):
     X = rng.standard_normal((200, 1000))
-    want = standardize_columns(X)
-    out, peak = traced_peak(standardize_columns, X, out=X)
+    want = oracles.standardize_whole(X)
+    out, peak = traced_peak(standardize_columns, X)
     assert out is X and X.tobytes() == want.tobytes()
     # column blocks only: neither std's deviations nor a result of X's size
     assert peak < 0.25 * X.nbytes
@@ -585,4 +613,5 @@ def test_column_mean_std_match_whole_array(n, p, layout, seed):
     X = laid_out(np.random.default_rng(seed), n, p, layout)
     assert _by_column_blocks(np.mean, X).tobytes() == oracles.column_mean_whole(X).tobytes()
     assert _by_column_blocks(np.std, X).tobytes() == oracles.column_std_whole(X).tobytes()
-    assert standardize_columns(X).tobytes() == oracles.standardize_whole(X).tobytes()
+    want = oracles.standardize_whole(X)
+    assert standardize_columns(X).tobytes() == want.tobytes()

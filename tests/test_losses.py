@@ -14,7 +14,9 @@ from cdboost.data import (
     standardize_columns,
     validate,
 )
-from cdboost.losses import _col_norms, build_context, km_weights, survival_order, survival_sorted
+from cdboost.losses import (
+    _col_norms, build_context, km_weights, survival_order, survival_sorted, weighted_rows,
+)
 from cdboost.tuning import default_lambda_grid, hdbic, select_lambda
 
 from conftest import (
@@ -84,7 +86,7 @@ def test_build_context_lr_weights(lr_problem):
     ctx = build_context(bundles, "lr")
     for m, b in enumerate(bundles):
         assert np.allclose(ctx.weights[m], 1.0 / b.n)
-        assert ctx.n_events[m] == b.n
+        assert weighted_rows(b, "lr")[3] == b.n
 
 
 def test_build_context_aft_sorts_events_first(rng):
@@ -258,7 +260,6 @@ def test_optimal_increment_matches_golden_section_lr(rng):
     state = CoefficientState(
         beta=rng.standard_normal((5, 2)) * 0.2,
         partitions=[],
-        iteration=0,
     )
     for s in range(5):
         for m in range(2):
@@ -275,7 +276,7 @@ def test_optimal_increment_matches_golden_section_lr(rng):
 def test_optimal_increment_joint_matches_golden_section(rng):
     bundles = make_aft_bundles(rng, M=3, n=25, p=4)
     ctx = build_context(bundles, "aft")
-    state = CoefficientState(beta=np.zeros((4, 3)), partitions=[], iteration=0)
+    state = CoefficientState(beta=np.zeros((4, 3)), partitions=[])
     for s in range(4):
         for A in [(0, 1), (0, 2), (0, 1, 2)]:
             def f(g, s=s, A=A):
@@ -297,7 +298,7 @@ def test_degenerate_column_increment_is_zero(rng):
     y = rng.standard_normal(20)
     with pytest.warns(UserWarning):
         ctx = build_context([DatasetBundle(X=X, y=y, delta=None, id=0)], "lr")
-    state = CoefficientState(beta=np.zeros((3, 1)), partitions=[], iteration=0)
+    state = CoefficientState(beta=np.zeros((3, 1)), partitions=[])
     assert optimal_increment_single(ctx, state, 1, 0) == 0.0
 
 
