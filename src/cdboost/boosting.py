@@ -7,12 +7,12 @@ coefficient blocks -- with the shared closed-form increment over A and the
 change of the objective: loss + BIC-type sparsity term + commonality penalty
 (lam times the fraction of (group, dataset-pair) blocks that differ).
 Applying an increment to a proper subset of a class splits the class;
-classes never merge.  The path holds each group's classes as one label row
-(entry m is the smallest dataset in m's class): ``_split`` is the split
-rule.  A split re-prices only its group: ``_unequal`` counts the group's
-differing pairs for the penalty trace and, on every candidate's split-off
-row at once, its split costs in ``_SubsetTasks``, which keeps every
-candidate's sparsity term in place.
+classes never merge.  The candidate table ``_SubsetTasks`` owns the classes,
+one label row per group (entry m is the smallest dataset in m's class), the
+split rule, the pricing and the scoring, and ``_path`` only steps and
+records.  A split re-prices only its group: ``_unequal`` counts the group's
+differing pairs for the penalty and, on every candidate's split-off row at
+once, its split costs; the table keeps every sparsity term in place.
 Every fitter is a path plus a stop: its kind sets the path's starting
 classes and which candidates step, and its stopping rule picks each
 dataset's iteration, from which ``_stop`` replays the path and reads the
@@ -63,27 +63,6 @@ from .data import (
 from .losses import LossContext, build_context, survival_order
 
 
-def _split(labels: list[list[int]], k: int, A: tuple[int, ...], g: float) -> int | None:
-    """Split A off its class in group k's label row when the increment g is
-    nonzero and A is a proper subset of the class; return the label of the
-    rest of the class, or None when nothing splits.
-
-    A lies inside one class, as every candidate does.  Its members take the
-    label A[0] and the rest of the class its smallest remaining member, so
-    the row stays canonical.
-    """
-    row = labels[k]
-    c = row[A[0]]
-    if g == 0.0 or len(A) == row.count(c):
-        return None
-    rest = [m for m, label in enumerate(row) if label == c and m not in A]
-    for m in A:
-        row[m] = A[0]
-    for m in rest:
-        row[m] = rest[0]
-    return rest[0]
-
-
 def _unequal(labels, mode: str) -> np.ndarray:
     """Counted dataset pairs whose labels differ, per label row (datasets on
     the last axis): all pairs, or the adjacent ones under ``ordered``."""
@@ -100,18 +79,20 @@ def _nonempty_subsets(cls: tuple[int, ...]):
 
 
 class _SubsetTasks:
-    """Candidate subsets of the starting classes, in vectorized form.
+    """The classes of a path and its candidate subsets, in vectorized form.
 
-    Every group starts with the classes of one label ``row``, priced in all
-    K groups by one ``price`` call.  The table holds every non-empty subset
-    of a starting class, ordered largest first then lexicographic (the
-    tie-break order); with M datasets there are at most 2^M - 1.  A subset A
-    is a candidate for covariate s when A lies inside one equality class of
-    s's group.  Classes only split, so a split never adds a subset: it only
-    changes which rows are candidates in the split group's columns and what
-    they cost there, which ``price`` sets from that group's label row, with
-    its counted pairs (``pairs``).  A row inside no class of any group
-    stays, all inf.
+    The table owns each group's classes as one label row (``labels``: one
+    class, or singletons under ``lockstep``), the split rule (``split``),
+    the pricing of candidates and penalty (``price``, ``pen``) and the
+    scoring (``score``).  It holds every non-empty subset of a starting
+    class, ordered largest first then lexicographic (the tie-break order);
+    with M datasets there are at most 2^M - 1.  A subset A is a candidate
+    for covariate s when A lies inside one equality class of s's group.
+    Classes only split, so a split never adds a subset: it only changes
+    which rows are candidates in the split group's columns and what they
+    cost there, which ``price`` sets from that group's label row, with its
+    counted pairs (``pairs``).  A row inside no class of any group stays,
+    all inf.
 
     Within-class invariant: datasets of one equality class hold identical
     coefficient blocks, so wherever A is a candidate for s, beta[s, m] is
@@ -120,20 +101,21 @@ class _SubsetTasks:
     (``pf_sum``); no (subset, covariate, dataset) array is needed.
 
     The sparsity row ``pf_new`` (S, p) is ``pf_sum`` where A's first member
-    holds a zero coefficient, else 0, kept in place by ``move``; ``held``
+    holds a zero coefficient, else 0, kept in place by ``hold``; ``held``
     indexes its zeros, where only an exact cancellation counts.
 
-    ``numA``, ``gamma``, ``dobj`` and ``zero`` are ``_path``'s per-iteration
-    (S, p) working set, written in place every iteration.  ``gamma`` starts
-    at 0 and stays 0 where ``denA`` is.
+    ``numA``, ``gamma``, ``dobj`` and ``zero`` are the (S, p) working set of
+    ``score``, written in place every iteration.  ``gamma`` starts at 0 and
+    stays 0 where ``denA`` is.
     """
 
-    def __init__(self, row, assignment, col_norms, pf, mode, pen_scale):
-        self.subsets = sorted(
-            itertools.chain.from_iterable(map(_nonempty_subsets, label_classes(row))),
-            key=lambda A: (-len(A), A),
-        )
-        S, M, K = len(self.subsets), len(row), int(assignment.max()) + 1
+    def __init__(self, lockstep, assignment, col_norms, pf, mode, lam):
+        (M, p), K = col_norms.shape, int(assignment.max()) + 1
+        # one list per group, as split edits the rows in place
+        self.labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
+        self.subsets = list(itertools.chain.from_iterable(
+            map(_nonempty_subsets, label_classes(self.labels[0]))))
+        S = len(self.subsets)
         self.rows = np.arange(S)
         self.neg_len = -np.array([len(A) for A in self.subsets])
         self.ind = np.zeros((S, M))
@@ -143,21 +125,24 @@ class _SubsetTasks:
         self.pf_sum = self.ind @ pf                 # (S,)
         self.denA = self.ind @ col_norms            # (S, p)
         self.all_ok = bool((self.denA > 0).all())
-        self.assignment, self.mode, self.pen_scale = assignment, mode, pen_scale
-        self.numA, self.gamma, self.dobj, self.pen_sp = np.zeros((4, *self.denA.shape))
-        self.zero = np.empty(self.denA.shape, dtype=bool)
-        self.pf_new = np.repeat(self.pf_sum[:, None], self.denA.shape[1], axis=1)
+        self.assignment, self.mode, self.lockstep, self.lam = assignment, mode, lockstep, lam
+        self.normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
+        self.pen_scale = lam / self.normalizer if self.normalizer > 0 else 0.0
+        self.numA, self.gamma, self.dobj, self.pen_sp = np.zeros((4, S, p))
+        self.zero = np.empty((S, p), dtype=bool)
+        self.pf_new = np.repeat(self.pf_sum[:, None], p, axis=1)
         self.lead = self.first == np.arange(M)[:, None]     # (M, S): rows m leads
-        self.hold(np.zeros((M, 0)))
+        self.hold(np.zeros((M, p)), 0)
         self.pairs = np.zeros(K, dtype=int)
-        self.price(row, range(K))
+        self.price(range(K))
 
-    def price(self, row, ks) -> None:
-        """Price the groups ``ks``, whose classes the label ``row`` holds:
-        write into their columns of ``pen_sp`` each subset's split cost where
-        it is a candidate, inf where it is not, and their counted pairs into
-        ``pairs``; ``any_pen`` tells whether ``pen_sp`` holds a nonzero."""
-        row, inA = np.asarray(row), self.ind > 0   # (M,), (S, M)
+    def price(self, ks) -> None:
+        """Price the groups ``ks``, which share one label row: write into
+        their columns of ``pen_sp`` each subset's split cost where it is a
+        candidate, inf where it is not, and their counted pairs into
+        ``pairs``; ``pen`` is then the penalty of every group's pairs, and
+        ``any_pen`` tells whether ``pen_sp`` holds a nonzero."""
+        row, inA = np.asarray(self.labels[ks[0]]), self.ind > 0   # (M,), (S, M)
         # A is a candidate when it lies inside one class; its split cost
         # counts the pairs that relabelling A apart adds
         valid = ((row == row[self.first][:, None]) | ~inA).all(axis=1)
@@ -166,16 +151,38 @@ class _SubsetTasks:
         cost = np.where(valid, self.pen_scale * (split - pairs), np.inf)
         self.pen_sp[:, np.isin(self.assignment, ks)] = cost[:, None]
         self.pairs[ks] = pairs
+        self.pen = (self.lam * int(self.pairs.sum()) / self.normalizer
+                    if self.normalizer > 0 else 0.0)
         self.any_pen = bool(self.pen_sp.any())
 
-    def move(self, m: int, s: int, nonzero: bool) -> None:
-        """Rewrite column s of the rows m leads, as m's coefficient of s turns nonzero or 0."""
-        rows = self.lead[m]
-        self.pf_new[rows, s] = 0.0 if nonzero else self.pf_sum[rows]
+    def split(self, k: int, A: tuple[int, ...], g: float) -> int | None:
+        """Split A off its class in group k's label row when the increment g
+        is nonzero and A is a proper subset of the class, and re-price group
+        k; return the label of the rest of the class, or None when nothing
+        splits.
 
-    def hold(self, coef: np.ndarray) -> None:
-        """Index the entries whose first member holds a nonzero in ``coef``,
-        and count each dataset's nonzeros: once per step that moved one."""
+        A lies inside one class, as every candidate does.  Its members take
+        the label A[0] and the rest of the class its smallest remaining
+        member, so the row stays canonical.
+        """
+        row = self.labels[k]
+        c = row[A[0]]
+        if g == 0.0 or len(A) == row.count(c):
+            return None
+        rest = [m for m, label in enumerate(row) if label == c and m not in A]
+        for m in A:
+            row[m] = A[0]
+        for m in rest:
+            row[m] = rest[0]
+        self.price([k])
+        return rest[0]
+
+    def hold(self, coef: np.ndarray, s: int) -> None:
+        """Rewrite column s of the sparsity row from ``coef``, index the
+        entries whose first member holds a nonzero and count each dataset's
+        nonzeros: once per step that moved a coefficient of s into or out
+        of the support."""
+        self.pf_new[:, s] = np.where(coef[self.first, s] == 0, self.pf_sum, 0.0)
         ms, cols = np.nonzero(coef)
         i, rows = np.nonzero(self.lead[ms])
         self.held = rows, cols[i], ms[i], -self.pf_sum[rows]
@@ -191,6 +198,42 @@ class _SubsetTasks:
             cancel = coef[firsts, cols] + gamma[rows, cols] == 0
             if cancel.any():
                 dobj[rows[cancel], cols[cancel]] += pf_drop[cancel]
+
+    def score(self, numer: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score every candidate into ``gamma`` and ``dobj``, written with
+        ``out=``: the same ops in the same order as on fresh arrays.  Return
+        the rows that step (all under ``lockstep``, else the one best) and
+        each row's best covariate."""
+        numA, gamma, dobj, denA = self.numA, self.gamma, self.dobj, self.denA
+        np.matmul(self.ind, numer, out=numA)                        # (S, p)
+        if self.all_ok:
+            np.divide(numA, denA, out=gamma)
+        else:
+            np.divide(numA, denA, out=gamma, where=denA > 0)
+        # h - gamma*numA with h = ((0.5*gamma)*gamma)*denA: the bits of
+        # -gamma*numA + h, in the working set with no temporaries
+        np.multiply(0.5, gamma, out=dobj)
+        dobj *= gamma
+        dobj *= denA
+        numA *= gamma
+        dobj -= numA
+        # the sparsity change and split cost of every nonzero increment, inf
+        # for a non-candidate; dobj is finite and never -0.0 (a zero split
+        # cost leaves it as it is)
+        self.add_sparsity(dobj, coef, gamma)
+        if self.any_pen:
+            dobj += self.pen_sp
+        if np.count_nonzero(gamma) < gamma.size:
+            # a zero increment changes no term: 0 for a candidate, else inf
+            np.equal(gamma, 0.0, out=self.zero)
+            dobj[self.zero] = 0.0
+            dobj[self.zero & np.isinf(self.pen_sp)] = np.inf
+
+        js = dobj.argmin(axis=1)  # per subset: first minimum, smallest s
+        # ties: largest subset, then smallest s, then subset order (lexicographic)
+        stepping = self.rows if self.lockstep else np.lexsort(
+            (js, self.neg_len, dobj[self.rows, js]))[:1]
+        return stepping, js
 
 
 class _Path(NamedTuple):
@@ -212,15 +255,15 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
           verify_partitions=False, lockstep=False) -> _Path:
     """Greedy boosting path over all T iterations.
 
-    Each iteration scores every candidate (covariate, subset) pair.  By
-    default every group starts with all datasets in one class and the single
-    best candidate steps.  With ``lockstep`` every dataset starts in a class
-    of its own, which never splits, and each dataset steps with its own best
-    covariate: M independent single-dataset paths in lockstep.  Each
-    candidate subset lies inside one equality class of its covariate's
-    group, which is what makes the per-subset sparsity term of
-    ``_SubsetTasks`` exact.  The penalty counts all dataset pairs, or the
-    adjacent ones under ``ordered``.
+    Each iteration the candidate table ``_SubsetTasks`` scores every
+    (covariate, subset) pair.  By default every group starts with all
+    datasets in one class and the single best candidate steps.  With
+    ``lockstep`` every dataset starts in a class of its own, which never
+    splits, and each dataset steps with its own best covariate: M
+    independent single-dataset paths in lockstep.  A candidate subset lies
+    inside one class of its covariate's group, so its members hold one
+    coefficient there: the path steps each subset once, and ``hold`` runs
+    once if that coefficient enters or leaves the support.
 
     ``verify_partitions`` checks the invariant the engine relies on after
     every step, in every group: each coefficient equals that of the dataset
@@ -228,33 +271,21 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     indices into ``coef``, and a split leaves the two halves holding
     different blocks.  Otherwise ``AssertionError`` names the first failing
     group.
-
-    The subset table is built once; a split only re-prices its own group
-    (``price``), whose counted pairs the penalty trace sums; a support move
-    rewrites one column of its sparsity row (``move``, then one ``hold`` per
-    step).  The (S, p) tables are written with ``out=`` into the working
-    set: the same ops in the same order as on fresh arrays.
     """
-    M, p, K = ctx.M, ctx.p, groups.K
-    nu, T, lam, mode = config.nu, config.T, config.lam, config.penalty_mode
+    M, p, nu, T = ctx.M, ctx.p, config.nu, config.T
     assignment = groups.assignment
     pf = np.asarray(ctx.penalty_factor)
-    normalizer = (M - 1) * K if mode == "ordered" else M * (M - 1) // 2 * K
-    pen_scale = lam / normalizer if normalizer > 0 else 0.0
 
     def loss_of(m):
         return 0.5 * float(ctx.weights[m] @ (resid[m] * resid[m]))
 
-    # one list per group, as _split edits the rows in place
-    labels = [list(range(M)) if lockstep else [0] * M for _ in range(K)]
+    tasks = _SubsetTasks(lockstep, assignment, np.vstack(ctx.col_norms), pf,
+                         config.penalty_mode, config.lam)
     coef = np.zeros((M, p))          # beta transposed: one row per dataset
     resid = [ctx.y[m].copy() for m in range(M)]
     numer = np.vstack([ctx.X[m].T @ (ctx.weights[m] * resid[m]) for m in range(M)])
     cur_loss = [loss_of(m) for m in range(M)]
 
-    tasks = _SubsetTasks(labels[0], assignment, np.vstack(ctx.col_norms), pf, mode, pen_scale)
-    numA, gamma, dobj, zero = tasks.numA, tasks.gamma, tasks.dobj, tasks.zero
-    pen = lam * int(tasks.pairs.sum()) / normalizer if normalizer > 0 else 0.0
     s_steps = np.full((T, M), -1)
     g_steps = np.zeros((T, M))
     loss = np.empty((M, T))
@@ -262,63 +293,29 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
     penalty = np.empty(T)
     # entry (m, s): covariate s of the dataset whose label names m's class
     # in s's group; a split rewrites only its group's columns
-    rep = np.asarray(labels)[assignment].T * p + np.arange(p) if verify_partitions else None
+    rep = np.asarray(tasks.labels)[assignment].T * p + np.arange(p) if verify_partitions else None
 
     for t in range(T):
-        np.matmul(tasks.ind, numer, out=numA)                       # (S, p)
-        if tasks.all_ok:
-            np.divide(numA, tasks.denA, out=gamma)
-        else:
-            np.divide(numA, tasks.denA, out=gamma, where=tasks.denA > 0)
-        # h - gamma*numA with h = ((0.5*gamma)*gamma)*denA: the bits of
-        # -gamma*numA + h, in the working set with no temporaries
-        np.multiply(0.5, gamma, out=dobj)
-        dobj *= gamma
-        dobj *= tasks.denA
-        numA *= gamma
-        dobj -= numA
-        # the sparsity change and split cost of every nonzero increment, inf
-        # for a non-candidate; dobj is finite and never -0.0 (a zero split
-        # cost leaves it as it is)
-        tasks.add_sparsity(dobj, coef, gamma)
-        if tasks.any_pen:
-            dobj += tasks.pen_sp
-        if np.count_nonzero(gamma) < gamma.size:
-            # a zero increment changes no term: 0 for a candidate, else inf
-            np.equal(gamma, 0.0, out=zero)
-            dobj[zero] = 0.0
-            dobj[zero & np.isinf(tasks.pen_sp)] = np.inf
-
-        js = dobj.argmin(axis=1)  # per subset: first minimum, smallest s
-        # ties: largest subset, then smallest s, then subset order (lexicographic)
-        stepping = tasks.rows if lockstep else np.lexsort(
-            (js, tasks.neg_len, dobj[tasks.rows, js]))[:1]
-
+        stepping, js = tasks.score(numer, coef)
         for i in stepping.tolist():
-            s_hat, A_hat, g_hat = int(js[i]), tasks.subsets[i], float(gamma[i, js[i]])
+            s_hat, A_hat, g_hat = int(js[i]), tasks.subsets[i], float(tasks.gamma[i, js[i]])
             k_hat = int(assignment[s_hat])
-            rest = _split(labels, k_hat, A_hat, g_hat)
-            if rest is not None:
-                tasks.price(labels[k_hat], [k_hat])
-                pen = lam * int(tasks.pairs.sum()) / normalizer
+            rest = tasks.split(k_hat, A_hat, g_hat)
             step = nu * g_hat
-            moved = False
+            old = float(coef[A_hat[0], s_hat])
+            new = old + step
             for m in A_hat:
                 s_steps[t, m], g_steps[t, m] = s_hat, g_hat
-                old = float(coef[m, s_hat])
-                coef[m, s_hat] = new = old + step
-                if (new != 0.0) != (old != 0.0):
-                    tasks.move(m, s_hat, new != 0.0)
-                    moved = True
+                coef[m, s_hat] = new
                 resid[m] -= step * ctx.X[m][:, s_hat]
                 np.dot(ctx.X[m].T, ctx.weights[m] * resid[m], out=numer[m])
                 cur_loss[m] = loss_of(m)
-            if moved:
-                tasks.hold(coef)
+            if (new != 0.0) != (old != 0.0):
+                tasks.hold(coef, s_hat)
             if verify_partitions:
                 if rest is not None:
                     cols = groups.indices(k_hat)
-                    rep[:, cols] = np.asarray(labels[k_hat])[:, None] * p + cols
+                    rep[:, cols] = np.asarray(tasks.labels[k_hat])[:, None] * p + cols
                 # each half holds one block once the map check passes
                 bad = assignment[(coef.take(rep) != coef).any(axis=0)]
                 if bad.size or rest is not None and (
@@ -331,10 +328,10 @@ def _path(ctx: LossContext, groups: GroupStructure, config: BoostConfig,
 
         loss[:, t] = cur_loss
         sparsity[:, t] = tasks.nnz
-        penalty[t] = pen
+        penalty[t] = tasks.pen
     sparsity *= pf[:, None]
     return _Path(s_steps, g_steps, loss, sparsity, penalty,
-                 [label_classes(row) for row in labels], lockstep)
+                 [label_classes(row) for row in tasks.labels], lockstep)
 
 
 def _stop(path: _Path, groups: GroupStructure, nu, t_stop, trace, loss,

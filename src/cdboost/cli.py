@@ -127,9 +127,15 @@ def _read_config_file(path: str) -> dict:
 
 
 def _config_value(action: argparse.Action, raw: str, where: str):
-    """Convert one config-file value as its option would on the command line."""
+    """Convert one config-file value as its option would on the command line.
+    A flag takes 1, true, yes or on to set it and 0, false, no or off to
+    leave it unset, in any case; any other value is refused."""
     if action.nargs == 0:            # a store_true-style flag
-        return action.const if raw.lower() in ("1", "true", "yes", "on") else action.default
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return action.const
+        if raw.lower() in ("0", "false", "no", "off"):
+            return action.default
+        raise ParseError(f"{where}: bad value {raw!r} for {action.dest!r}")
     try:
         value = (action.type or str)(raw)
     except ValueError:

@@ -54,6 +54,10 @@ def km_weights(y_sorted: np.ndarray, delta_sorted: np.ndarray) -> np.ndarray:
     w_(i) = delta_(i)/(n-i+1) * prod_{j<i} ((n-j)/(n-j+1))^delta_(j).
     Censored observations get exactly zero weight; with no censoring the
     weights are exactly 1/n.
+
+    The bits depend on numpy's SIMD tier: its AVX-512 loops of ``np.log``
+    and ``np.exp`` round differently from its other loops, so every AFT
+    column norm, and so every AFT byte pin, belongs to one tier.
     """
     delta = np.asarray(delta_sorted, dtype=float)
     n = delta.size

@@ -146,7 +146,14 @@ class SimDesign:
             raise ValidationError("need 0 <= between_corr < within_corr < 1")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        group_sizes(self.p, self.K)
+        sizes = group_sizes(self.p, self.K)
+        # the smallest group must host the important covariates of every
+        # scenario allocated: 2 for full, 4 for partial, 6 for none
+        counts = scenario_counts(self.K, self.rho_f, self.rho_p, self.rho_n)
+        need = max(n for n, count in zip((2, 4, 6), counts) if count)
+        k = int(np.argmin(sizes))
+        if sizes[k] < need:
+            raise ValidationError(f"group {k} of size {sizes[k]} cannot host {need} importants")
 
     @property
     def sigma(self) -> float:

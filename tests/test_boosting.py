@@ -16,7 +16,6 @@ import oracles
 from cdboost import boosting, cli, losses, simulate
 from cdboost.boosting import (
     _path,
-    _split,
     _SubsetTasks,
     _unequal,
     cd_sboost_fit,
@@ -421,8 +420,8 @@ def test_verify_partitions_catches_a_split_on_a_zero_increment(monkeypatch):
     with pytest.warns(UserWarning, match="zero-norm"):
         path = _path(build_context(bundles, "lr"), groups, config, verify_partitions=True)
     assert oracles.path_steps(path, 0) == [(2, (0,), 0.0)]
-    real_split = boosting._split
-    monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: real_split(labels, k, A, 1.0))
+    real_split = _SubsetTasks.split
+    monkeypatch.setattr(_SubsetTasks, "split", lambda tasks, k, A, g: real_split(tasks, k, A, 1.0))
     with pytest.warns(UserWarning, match="zero-norm"), \
             pytest.raises(AssertionError, match="iteration 1: tracked partition of group 1"):
         cd_sboost_fit(bundles, groups, config, verify_partitions=True)
@@ -432,7 +431,7 @@ def test_verify_partitions_catches_a_step_to_part_of_a_class(monkeypatch):
     """A split rule that never splits leaves a class whose members hold
     different blocks after the first single-dataset step."""
     bundles, groups = _copy_of_dataset_0()
-    monkeypatch.setattr(boosting, "_split", lambda labels, k, A, g: None)
+    monkeypatch.setattr(_SubsetTasks, "split", lambda tasks, k, A, g: None)
     with pytest.raises(AssertionError, match="iteration 1: tracked partition of group 2"):
         cd_sboost_fit(bundles, groups, _COPY_CONFIG, verify_partitions=True)
 
@@ -444,11 +443,11 @@ def test_verify_partitions_reports_a_stray_write_where_it_happens(monkeypatch):
     real_hold = _SubsetTasks.hold
     holds = []
 
-    def stray_hold(tasks, coef):
+    def stray_hold(tasks, coef, s):
         holds.append(None)
         if len(holds) == 3:
             coef[1, 3] += 1e-3
-        real_hold(tasks, coef)
+        real_hold(tasks, coef, s)
 
     monkeypatch.setattr(_SubsetTasks, "hold", stray_hold)
     bundles = make_lr_bundles(np.random.default_rng(3), M=3, n=30, p=9)
@@ -484,13 +483,17 @@ def test_label_rows_match_partition_oracles(M, mode, data):
         oracles.unequal_pairs(pt, M, mode) for pt in parts)
 
     # the table of the all-common start, re-priced group by group for these
-    # classes as splits re-price it in _path
-    pen_scale = 0.3
-    assignment = np.repeat(np.arange(K), 2)
-    tasks = _SubsetTasks([0] * M, assignment, np.ones((M, 2 * K)), np.ones(M), mode, pen_scale)
+    # classes as a split re-prices its group; the penalty divides by the
+    # pairs of all-singleton classes in every group
+    lam, assignment = 0.3, np.repeat(np.arange(K), 2)
+    normalizer = K * oracles.unequal_pairs(tuple((m,) for m in range(M)), M, mode)
+    pen_scale = lam / normalizer if normalizer else 0.0
+    tasks = _SubsetTasks(False, assignment, np.ones((M, 2 * K)), np.ones(M), mode, lam)
     for k, row in enumerate(labels):
-        tasks.price(row, [k])
+        tasks.labels[k] = row
+        tasks.price([k])
     assert tasks.pairs.tolist() == [oracles.unequal_pairs(pt, M, mode) for pt in parts]
+    assert tasks.pen == (lam * int(tasks.pairs.sum()) / normalizer if normalizer else 0.0)
     for i, A in enumerate(tasks.subsets):
         for k, pt in enumerate(parts):
             inside = any(set(A) <= set(c) for c in pt)
@@ -505,8 +508,9 @@ def test_label_rows_match_partition_oracles(M, mode, data):
     A = tuple(sorted(data.draw(st.lists(st.sampled_from(cls), min_size=1, unique=True))))
     g = data.draw(st.sampled_from([0.0, -0.5, 1.25]))
     want = parts[k] if g == 0.0 else tuple(oracles.split(parts[k], A))
-    rest = _split(labels, k, A, g)
+    rest = tasks.split(k, A, g)
     assert (rest is not None) == (want != parts[k])
+    assert tasks.pairs[k] == oracles.unequal_pairs(want, M, mode)
     if rest is not None:
         # the label of the rest of the class: its smallest member
         assert rest == min(m for c in want if c[0] in cls and c != A for m in c)
@@ -542,16 +546,16 @@ def test_sparsity_change_matches_full_tensor(M, mode, seed):
         for cls in part:
             beta[np.ix_(rows, cls)] = rng.choice(values, size=(rows.size, 1))
     col_norms = rng.uniform(0.5, 2.0, size=(M, p))
-    tasks = _SubsetTasks([0] * M, assignment, col_norms, pf, mode, 0.1)
+    tasks = _SubsetTasks(False, assignment, col_norms, pf, mode, 0.1)
     for k, part in enumerate(parts):
-        tasks.price(partition_labels(part), [k])
+        tasks.labels[k] = partition_labels(part)
+        tasks.price([k])
     # increments that sometimes zero a coefficient or leave it unchanged
     gamma = rng.choice(np.concatenate([-values, values]), size=(len(tasks.subsets), p))
 
     coef = beta.T.copy()
-    for m, s in zip(*np.nonzero(coef)):
-        tasks.move(m, s, True)
-    tasks.hold(coef)
+    for s in range(p):
+        tasks.hold(coef, s)
     got = np.zeros(gamma.shape)
     tasks.add_sparsity(got, coef, gamma)
     tentative = beta[None, :, :] + gamma[:, :, None] * tasks.ind.astype(bool)[:, None, :]
@@ -588,10 +592,10 @@ def test_price_allocates_a_fraction_of_a_table(monkeypatch):
     real_price = _SubsetTasks.price
     grown = []
 
-    def traced_price(tasks, row, ks):
+    def traced_price(tasks, ks):
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        real_price(tasks, row, ks)
+        real_price(tasks, ks)
         grown.append(tracemalloc.get_traced_memory()[1] - held)
 
     monkeypatch.setattr(_SubsetTasks, "price", traced_price)
@@ -816,10 +820,10 @@ def test_reference_code_not_in_package():
     assert not hasattr(boosting, "PenaltySpec")
     for name in ("_unequal_pairs", "_split_delta", "_class_containing",
                  "_check_starting_classes", "_single_sboost_fit", "_replay",
-                 "_holds_blocks", "_columns", "_Support"):
+                 "_holds_blocks", "_columns", "_Support", "_split"):
         assert not hasattr(boosting, name)
-    tasks = _SubsetTasks([0, 0], np.array([0]), np.ones((2, 1)), np.ones(2), "all_pairs", 0.0)
-    assert not hasattr(tasks, "inA")
+    tasks = _SubsetTasks(False, np.array([0]), np.ones((2, 1)), np.ones(2), "all_pairs", 0.0)
+    assert not hasattr(tasks, "inA") and not hasattr(tasks, "move")
     assert not hasattr(boosting._Path, "steps")
     for name in ("split_class", "partition_meet", "singleton_partitions",
                  "canonical_partition", "partition_labels", "block_partition",
@@ -894,6 +898,8 @@ def _path_bytes(path):
 
 # sha256 over the paths of ``_sweep_runs``; recorded before the leaner
 # iteration, under OpenBLAS SkylakeX (the core the pytest header prints)
+# with numpy's AVX-512 loops on; the aft entries move without them, as the
+# log and exp of ``losses.km_weights`` round differently on other tiers
 _PATH_SWEEP_SHA256 = {
     ("lr", 1): "4e90d54304e3caccf1a1eb32860a48eb11b0cedd0b889c98062dd79e5110deca",
     ("lr", 2): "9f03577e86befc5df831550fc50f0cb2fd8226dc372289b93f225cf2f9ddaf50",
@@ -994,6 +1000,8 @@ def _split_sweep_paths(model, M):
 # sha256 over the paths of ``_split_sweep_paths``, recorded when every split
 # rebuilt the candidate table without the subsets it left inside no class,
 # under SkylakeX
+# with numpy's AVX-512 loops on; the aft entries move without them, as the
+# log and exp of ``losses.km_weights`` round differently on other tiers
 _SPLIT_SWEEP_SHA256 = {
     ("lr", 2): "39c5339056fa836b28bbb1f29cd0e1f37128914b87b78c4d96bb0265b3c09bc4",
     ("lr", 3): "548260934bf9ebc061f89ccc208c8a7ae90f223ae9a1f87eea4cb2bd794d8792",
@@ -1072,6 +1080,8 @@ def _pinned_fit_bundles(model):
 # sha256 over every field of the FitResult of each algorithm through ``fit``,
 # lambda 0.2, nu 0.5, T=150; every stop falls below T; recorded before the
 # fitters shared one stop helper, under SkylakeX
+# with numpy's AVX-512 loops on; the aft entries move without them, as the
+# log and exp of ``losses.km_weights`` round differently on other tiers
 _FIT_SHA256 = {
     ("lr", "sboost"): "fa4b7874e53e60ed5fb2a8650fdf72af6e86162bc1f5e622effc19e0aa25b2b4",
     ("lr", "sep_sboost"): "b95ca3c84f3ace69d98e34af5af23e992affc8a330b32544b451cd4d8dd26f37",

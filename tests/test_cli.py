@@ -117,6 +117,8 @@ def test_simulate_bytes_pinned(tmp_path, capsys, model):
 # sha256 of every file of the small example (seed 0, lr and aft) and of
 # the reduced preset under the fixed scheme with every scenario drawn,
 # recorded before the scenarios were stated as one table, under SkylakeX
+# with numpy's AVX-512 loops on; the aft entries move without them, as
+# numpy's log and exp round differently on other tiers
 _SCENARIO_SHA256 = {
     "small-example lr": {
         "dataset_1.csv": "25e986f418f4d79984c25c9095055afece56a8b802c59922c2ca655ecb387032",
@@ -171,6 +173,8 @@ def reduced_seed1(tmp_path_factory):
 # and pooling stopped copying arrays; int and cd at a fixed lambda were
 # recorded before the starting classes were set by the fitter's kind;
 # all under SkylakeX
+# with numpy's AVX-512 loops on; the aft entries move without them, as the
+# log and exp of ``losses.km_weights`` round differently on other tiers
 _FIT_SEED1_SHA256 = {
     ("lr", True): {
         "cd-sboost": "1cbadab45d040e5c327147b71e52a8f5124a77fd8c0d7c6fe21d9391afea24b2",
@@ -620,6 +624,8 @@ def test_config_store_true_flag(tmp_path, capsys, rng):
     ("model = probit", "'model'"),
     ("penalty_mode = sideways", "'penalty_mode'"),
     ("design = S9", "'design'"),
+    ("no_verify = banana", "'no_verify'"),
+    ("no_verify =", "'no_verify'"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
@@ -954,6 +960,23 @@ def test_benchmark_with_some_replicates_failed_exits_0(tmp_path, capsys, monkeyp
     assert [r["replicate"] for r in payload["rows"]] == [1]
 
 
+def test_design_no_replicate_can_host_exits_3_from_both_commands(tmp_path, capsys):
+    """Groups of one covariate cannot host the six importants of the
+    dataset-specific scenario: simulate and benchmark refuse the design
+    alike, before any replicate, with one line naming the group."""
+    design = ["--preset", "reduced", "--p", "40", "--k", "20", "--rho", "0,0,1",
+              "--seed", "1"]
+    errors = []
+    for argv in (["simulate", *design, "--outdir", str(tmp_path / "sim")],
+                 ["benchmark", *design, "--replicates", "2", "--iters", "20"]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == "error: group 0 of size 1 cannot host 6 importants\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_benchmark_cli_round_trip(tmp_path, capsys):
     out = tmp_path / "report.json"
     table = tmp_path / "report.txt"
@@ -1111,6 +1134,19 @@ def test_workers_env_default(monkeypatch):
     args = build_parser().parse_args(
         ["benchmark", "--seed", "1", "--replicates", "1"])
     assert args.workers == 1
+
+
+@pytest.mark.parametrize("word, want", [
+    ("TRUE", True), ("Yes", True), ("on", True), ("1", True),
+    ("False", False), ("NO", False), ("off", False), ("0", False),
+])
+def test_config_flag_words_ignore_case(tmp_path, word, want):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"no_verify = {word}\n")
+    argv = ["benchmark", "--seed", "1", "--config", str(cfg)]
+    args = build_parser().parse_args(argv)
+    _merge_config(args, argv, args.subparser)
+    assert args.no_verify is want
 
 
 @pytest.mark.parametrize("flags, key, want", [

@@ -163,10 +163,36 @@ def test_truth_rejects_bad_requests():
         gen_truth(_truth_design(), 0, scenarios=("full", "full"))
     with pytest.raises(ValidationError):
         gen_truth(_truth_design(), 0, scenarios=("full", "full", "bogus"))
-    # a tiny group cannot host three distinct important pairs
-    small = SimDesign(M=3, n=20, p=12, K=2, rho_f=0.5, rho_p=0.0, rho_n=0.5, seed=1)
-    with pytest.raises(ValidationError):
+    # a tiny group cannot host three distinct important pairs, whether the
+    # design allocates them or a scenario override does
+    with pytest.raises(ValidationError, match="group 0 of size 5 cannot host 6 importants"):
+        SimDesign(M=3, n=20, p=12, K=2, rho_f=0.5, rho_p=0.0, rho_n=0.5, seed=1)
+    small = SimDesign(M=3, n=20, p=12, K=2, rho_f=1.0, rho_p=0.0, rho_n=0.0, seed=1)
+    with pytest.raises(ValidationError, match="group 0 of size 5 cannot host 6 importants"):
         gen_truth(small, 0, scenarios=("none", "full"))
+
+
+@pytest.mark.parametrize("p, rho, fits", [
+    (6, (1.0, 0.0, 0.0), True),      # groups of 2 and 4; full needs 2
+    (6, (0.5, 0.5, 0.0), False),     # partial needs 4
+    (10, (0.0, 1.0, 0.0), True),     # groups of 4 and 6
+    (12, (0.0, 0.0, 1.0), False),    # groups of 5 and 7; none needs 6
+    (15, (0.5, 0.0, 0.5), True),     # groups of 6 and 9
+])
+def test_design_refuses_a_group_too_small_for_its_scenarios(p, rho, fits):
+    """Every group must host the important covariates of every scenario the
+    design allocates, whichever group the allocation gives it to: a design
+    that fits simulates at every replicate, and one that does not is
+    refused before any replicate is drawn."""
+    def make():
+        return SimDesign(M=3, n=20, p=p, K=2, rho_f=rho[0], rho_p=rho[1], rho_n=rho[2])
+
+    if fits:
+        for replicate in range(4):
+            gen_truth(make(), replicate)
+    else:
+        with pytest.raises(ValidationError, match="group 0 of size .* cannot host"):
+            make()
 
 
 # ---------------------------------------------------------------------------
