@@ -376,9 +376,10 @@ def _parse_float(cell: str, where: str) -> float:
 
 
 def _csv_rows(path, delimiter=","):
-    """The rows of a text table; bytes that are not UTF-8 and rows the csv
-    module rejects raise ``ParseError`` naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """The rows of a text table; one leading byte-order mark is dropped, and
+    bytes that are not UTF-8 and rows the csv module rejects raise
+    ``ParseError`` naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             yield from csv.reader(fh, delimiter=delimiter)
         except (UnicodeDecodeError, csv.Error) as exc:

@@ -1,10 +1,14 @@
 import ctypes
+import functools
+import json
 import tracemalloc
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
+from cdboost import cli
 from cdboost.data import DatasetBundle, GroupStructure, standardize_columns
 
 
@@ -123,3 +127,53 @@ def traced_peak(fn, *args, **kwargs):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# the schema of each command's JSON, named by a key that only it requires
+_SCHEMA_BY_KEY = {
+    "coefficients": "fit_result.schema.json",
+    "rows": "benchmark_report.schema.json",
+    "results": "stability_report.schema.json",
+}
+
+
+@functools.cache
+def schema_validator(name: str):
+    """The validator of a schema shipped with the package; the schema itself
+    is checked once, when its validator is built."""
+    schema = json.loads(Path(cli.__file__).with_name("schemas").joinpath(name).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def check_payload(payload: dict) -> None:
+    """Raise ``jsonschema.ValidationError`` unless ``payload``, as ``_emit``
+    writes it, conforms to the schema of its command."""
+    names = [name for key, name in _SCHEMA_BY_KEY.items() if key in payload]
+    assert len(names) == 1, f"want one schema key among {sorted(payload)}"
+    schema_validator(names[0]).validate(cli._clean(payload))
+
+
+@pytest.fixture(autouse=True, scope="session")
+def output_contract():
+    """Check every payload ``cdboost.cli`` emits, and every ``truth.json``
+    that ``simulate`` writes, against its schema: the command line itself
+    never validates its output.  Session scope puts the check in place
+    before the module-scoped fixtures that run the command line."""
+    emit, write_simulation = cli._emit, cli.write_simulation
+
+    def checked_emit(payload, path):
+        check_payload(payload)
+        emit(payload, path)
+
+    def checked_write_simulation(*args, **kwargs):
+        written = write_simulation(*args, **kwargs)
+        truth = json.loads(Path(written[2]).read_text())
+        schema_validator("simulation_truth.schema.json").validate(truth)
+        return written
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_emit", checked_emit)
+        mp.setattr(cli, "write_simulation", checked_write_simulation)
+        yield

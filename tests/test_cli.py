@@ -1,20 +1,25 @@
 """End-to-end command-line behavior: files in, JSON out, exit codes."""
 
 import argparse
+import codecs
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cdboost import metrics
+from cdboost import cli, metrics
 from cdboost.cli import _merge_config, build_parser, main
 from cdboost.data import GroupStructure, NumericError, write_dataset_csv, write_groups_tsv
 
-from conftest import make_lr_bundles, pin_message
+from conftest import check_payload, make_aft_bundles, make_lr_bundles, pin_message
 
 
 def _write_problem(tmp_path, rng, M=2, n=40, p=6, K=2):
@@ -679,6 +684,9 @@ _BENCH = ["benchmark", "--preset", "reduced", "--n", "20", "--p", "40", "--k", "
     ("csv-not-utf8", 2),
     ("tsv-not-utf8", 2),
     ("config-not-utf8", 2),
+    ("csv-not-utf8-after-bom", 2),
+    ("tsv-not-utf8-after-bom", 2),
+    ("config-not-utf8-after-bom", 2),
     ("fit-grid-empty", 2),
     ("fit-grid-empty-in-config", 2),
     ("fit-grid-non-numeric", 2),
@@ -708,6 +716,8 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     paths, groups = _write_problem(tmp_path, rng)
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("y,x1\n1.0,café\n".encode("latin-1"))
+    bom_bad = tmp_path / "bom-latin1.txt"
+    bom_bad.write_bytes(codecs.BOM_UTF8 + bad.read_bytes())
     outdir = ["--outdir", str(tmp_path / "sim")]
     (tmp_path / "grid.cfg").write_text("grid =\n")
     (tmp_path / "grid12.cfg").write_text("grid = 1,2\n")
@@ -749,6 +759,10 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
         "tsv-not-utf8": ["fit", "--data", *paths, "--groups", str(bad)],
         "config-not-utf8": ["fit", "--data", *paths, "--groups", groups,
                             "--config", str(bad)],
+        "csv-not-utf8-after-bom": ["fit", "--data", str(bom_bad), "--groups", groups],
+        "tsv-not-utf8-after-bom": ["fit", "--data", *paths, "--groups", str(bom_bad)],
+        "config-not-utf8-after-bom": ["fit", "--data", *paths, "--groups", groups,
+                                      "--config", str(bom_bad)],
         "fit-grid-empty": [*fit, "--grid", ""],
         "fit-grid-empty-in-config": [*fit, "--config", str(tmp_path / "grid.cfg")],
         "fit-grid-non-numeric": [*fit, "--grid", "0,abc"],
@@ -784,6 +798,30 @@ def test_bad_input_exits_with_one_line_error(tmp_path, capsys, rng, case, want):
     assert main(argv) == want
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("marked", ["csv", "tsv", "config", "csv,tsv,config"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, capsys, rng, marked):
+    """A UTF-8 byte-order mark at the start of a dataset CSV, a groups TSV or
+    a config file, as spreadsheet programs write them, gives the fit JSON
+    of the same files without one."""
+    paths, groups = _write_problem(tmp_path, rng)
+    config = tmp_path / "fit.cfg"
+    config.write_text("iters = 20\nlambda = 0.5\n")
+    plain = {"csv": Path(paths[0]), "tsv": Path(groups), "config": config}
+
+    def fit(files):
+        code = main(["fit", "--data", str(files["csv"]), paths[1], "--groups", str(files["tsv"]),
+                     "--config", str(files["config"])])
+        return code, capsys.readouterr()
+
+    with_bom = dict(plain)
+    for kind in marked.split(","):
+        with_bom[kind] = tmp_path / f"bom-{plain[kind].name}"
+        with_bom[kind].write_bytes(codecs.BOM_UTF8 + plain[kind].read_bytes())
+    want = fit(plain)
+    assert want[0] == 0 and want[1].err == ""
+    assert fit(with_bom) == want
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1064,92 @@ def test_stability_cli_smoke(tmp_path, capsys, rng):
     assert set(payload["results"]) == {"cd", "pool"}
     for stats in payload["results"].values():
         assert 0.0 <= stats["ooi"] <= 1.0
+
+
+def test_stability_cli_aft(tmp_path, capsys, rng):
+    """Stability on survival files: the model is read off their event
+    columns, and every split fits and scores under AFT."""
+    paths = []
+    for m, b in enumerate(make_aft_bundles(rng, M=2, n=40, p=6)):
+        paths.append(str(tmp_path / f"data_{m}.csv"))
+        write_dataset_csv(paths[-1], b.X, b.y, delta=b.delta)
+    groups = tmp_path / "groups.tsv"
+    write_groups_tsv(groups, GroupStructure(np.repeat(np.arange(2), 3)))
+    with pytest.warns(UserWarning, match="covariates ever selected"):
+        assert main(["stability", "--data", *paths, "--groups", str(groups),
+                     "--methods", "cd,sep", "--splits", "3", "--seed", "1",
+                     "--lambda", "0.2", "--iters", "40"]) == 0
+    payload = _read_json(capsys)
+    assert payload["model"] == "aft"
+    assert set(payload["results"]) == {"cd", "sep"}
+
+
+# ---------------------------------------------------------------------------
+# output contract
+# ---------------------------------------------------------------------------
+
+
+def test_contract_check_rejects_a_bad_fit_payload(tmp_path, capsys, rng):
+    """The schema check every command-line test runs on what ``_emit``
+    writes passes a real fit and rejects a zero ``t_hat`` and a coefficient
+    given as a string."""
+    paths, groups = _write_problem(tmp_path, rng)
+    assert main(["fit", "--data", *paths, "--groups", groups, "--lambda", "0.5",
+                 "--iters", "10"]) == 0
+    payload = _read_json(capsys)
+    check_payload(payload)
+    assert payload["coefficients"]
+    bad_coefficient = [*payload["coefficients"][0][:2], "0.5"]
+    for bad in ({**payload, "t_hat": 0},
+                {**payload, "coefficients": [bad_coefficient, *payload["coefficients"][1:]]}):
+        with pytest.raises(jsonschema.ValidationError):
+            check_payload(bad)
+
+
+# runs the commands of argv lists given as JSON with jsonschema unimportable
+_WITHOUT_JSONSCHEMA = """\
+import json, sys
+sys.modules["jsonschema"] = None
+from cdboost.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def test_commands_run_without_jsonschema(tmp_path):
+    """simulate, a cd fit under --lambda auto, a benchmark and a stability
+    run exit 0 in a process that cannot import jsonschema, and write the
+    bytes that the same commands write here."""
+    def commands(root):
+        sim = root / "sim"
+        data = ["--data", *(str(sim / f"dataset_{m}.csv") for m in (1, 2, 3)),
+                "--groups", str(sim / "groups.tsv")]
+        return [
+            ["simulate", "--preset", "small-example", "--seed", "0", "--outdir", str(sim)],
+            ["fit", *data, "--lambda", "auto", "--iters", "30",
+             "--output", str(root / "fit.json")],
+            [*_BENCH, "--methods", "cd,pool", "--output", str(root / "benchmark.json")],
+            ["stability", *data, "--methods", "cd", "--splits", "2", "--lambda", "0.5",
+             "--iters", "100", "--output", str(root / "stability.json")],
+        ]
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    alone, here = tmp_path / "alone", tmp_path / "here"
+    run = subprocess.run([sys.executable, "-c", _WITHOUT_JSONSCHEMA,
+                          json.dumps(commands(alone))],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    for argv in commands(here):
+        assert main(argv) == 0
+
+    def written(root):
+        return {path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    got, want = written(alone), written(here)
+    assert len(want) == 8 and got == want
 
 
 # every option of each subcommand: (flag, dest, default, choices, required,
